@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import time
+import warnings
 from typing import Callable, Mapping
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,19 +64,36 @@ def update_bench_json(filename: str, section: str, payload: dict) -> str:
 
     Read-modify-write so independent benchmark tests can each contribute
     their own section to one trajectory file; the git revision is
-    restamped on every update. Returns the file path.
+    restamped on every update. The write goes through a temporary file
+    and ``os.replace``, so an interrupted write never tears the file. An
+    existing file that does not parse is not silently dropped: its bytes
+    are kept at ``<file>.corrupt`` and a warning names it. Returns the
+    file path.
     """
     path = os.path.join(_ROOT, filename)
     doc: dict = {}
     if os.path.exists(path):
+        with open(path, "rb") as f:
+            raw = f.read()
         try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except ValueError:
+            doc = json.loads(raw)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as exc:
+            corrupt = path + ".corrupt"
+            with open(corrupt, "wb") as f:
+                f.write(raw)
+            warnings.warn(
+                f"{path} does not parse ({exc}); its bytes are kept at "
+                f"{corrupt} and a fresh document replaces it",
+                stacklevel=2,
+            )
             doc = {}
     doc["git_rev"] = git_rev()
     doc[section] = payload
-    with open(path, "w", encoding="utf-8") as f:
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+    os.replace(tmp, path)
     return path

@@ -7,7 +7,8 @@ upload, polluters whose blocks fail integrity checks, liars who
 advertise blocks they will not serve, activation windows, strike-based
 blacklisting), an :class:`AdversaryDriver` realises it per run from a
 dedicated RNG stream, and every engine declares how much of the model it
-honors (``adversary_support``, mirroring ``fault_support``). Engines run
+honors (``adversary_support``, checked by the kernel's adversary axis in
+:data:`repro.sim.kernel.AXES`). Engines run
 under a plan through :func:`adversary_run`, which constructs them by
 :mod:`repro.sim` registry name (engines also take ``adversary=`` keyword
 arguments directly).
@@ -49,7 +50,7 @@ def adversary_run(
     with the adversary argument — the adversary suite's idiom for "same
     plan, every engine". Plans an engine cannot honor raise
     :class:`~repro.core.errors.ConfigError` at construction (see
-    ``EngineSpec.adversary_support``).
+    ``EngineSpec.adversary_support``, read from the policy class).
     """
     # Imported lazily: the kernel imports this package, so a top-level
     # import of repro.sim here would be circular.

@@ -61,69 +61,22 @@ class EngineRun:
     ``options`` is a sorted tuple of ``(key, value)`` pairs rather than a
     dict so the dataclass stays frozen and its ``repr`` — which the
     result cache uses as the factory fingerprint — is deterministic.
+    Every engine keyword lives there, ``backend`` and the scenario specs
+    (``workload``, ``adversary``, ``bandwidth``, ``telemetry``)
+    included: their frozen-dataclass reprs pin every parameter, so a
+    cached result is never served for a run configured differently —
+    not even one that differs only in the byte-identical backend.
     """
 
     engine: str
     n: int
     k: int
     options: tuple[tuple[str, object], ...] = ()
-    #: Kernel backend (``"loop"`` / ``"array"`` / ``None`` = ambient
-    #: default). A dataclass field rather than an entry in ``options`` so
-    #: it always appears in the cache fingerprint: two campaigns that
-    #: differ only in backend hash to different cache keys even though
-    #: the array backend is byte-identical — a cached result must record
-    #: exactly how it was produced.
-    backend: str | None = None
-    #: Open-system workload (a :class:`~repro.workloads.WorkloadSpec` or
-    #: ``None`` for the closed batch). Like ``backend``, a dedicated
-    #: field instead of an ``options`` entry so it always shows up in
-    #: the repr fingerprint: a cached closed-batch result must never be
-    #: served for the same engine under Poisson arrivals, and the spec's
-    #: frozen-dataclass repr pins every arrival/availability parameter.
-    workload: object | None = None
-    #: Adversary plan (an :class:`~repro.adversary.AdversaryPlan` or
-    #: ``None`` for a clean swarm). A dedicated field for the same
-    #: reason as ``workload``: a cached clean-swarm result must never be
-    #: served for a polluted one, and the plan's frozen-dataclass repr
-    #: pins every adversarial parameter into the cache fingerprint.
-    adversary: object | None = None
-    #: Bandwidth classes (a :class:`~repro.core.bandwidth.BandwidthClasses`
-    #: or ``None`` for the uniform paper model). Dedicated field for the
-    #: same reason as ``workload``: a cached uniform-swarm result must
-    #: never be served for a tiered one, and the spec's frozen-dataclass
-    #: repr pins every tier parameter into the cache fingerprint.
-    bandwidth: object | None = None
-    #: Telemetry spec (a :class:`~repro.telemetry.TelemetrySpec` or
-    #: ``None``). The digest changes run *metadata* (never dynamics), but
-    #: a cached digest-less result must not be served when the sweep
-    #: needs digests — so the spec joins the fingerprint too.
-    telemetry: object | None = None
 
     @classmethod
-    def configure(
-        cls,
-        engine: str,
-        n: int,
-        k: int,
-        backend: str | None = None,
-        workload: object | None = None,
-        adversary: object | None = None,
-        bandwidth: object | None = None,
-        telemetry: object | None = None,
-        **options: object,
-    ) -> "EngineRun":
+    def configure(cls, engine: str, n: int, k: int, **options: object) -> "EngineRun":
         """Build a factory with ``options`` baked in (keyword-friendly form)."""
-        return cls(
-            engine,
-            n,
-            k,
-            tuple(sorted(options.items())),
-            backend,
-            workload,
-            adversary,
-            bandwidth,
-            telemetry,
-        )
+        return cls(engine, n, k, tuple(sorted(options.items())))
 
     #: Checkpoint protocol marker (see :mod:`repro.campaign.checkpointing`):
     #: executors with an armed :class:`CheckpointSpec` pass
@@ -136,16 +89,6 @@ class EngineRun:
         kwargs = dict(self.options)
         if isinstance(point, Mapping):
             kwargs.update(point)
-        if self.backend is not None:
-            kwargs["backend"] = self.backend
-        if self.workload is not None:
-            kwargs["workload"] = self.workload
-        if self.adversary is not None:
-            kwargs["adversary"] = self.adversary
-        if self.bandwidth is not None:
-            kwargs["bandwidth"] = self.bandwidth
-        if self.telemetry is not None:
-            kwargs["telemetry"] = self.telemetry
         return kwargs
 
     def __call__(
@@ -304,8 +247,8 @@ class BatchEngineRun(EngineRun):
 
     Only array-capable engines qualify (``BatchRunner`` raises for the
     rest); wrap a scalar factory in :class:`BatchedRuns` for the others.
-    The inherited ``backend`` field must be ``None`` or ``"array"`` —
-    the batch path *is* the array backend.
+    A ``backend`` option must be ``None`` or ``"array"`` — the batch
+    path *is* the array backend.
 
     Checkpointing (``supports_checkpoint``, inherited) happens at batch
     granularity via :class:`_BatchProgress`: completed replicas persist
@@ -318,10 +261,11 @@ class BatchEngineRun(EngineRun):
     supports_batch = True
 
     def __post_init__(self) -> None:
-        if self.backend not in (None, "array"):
+        backend = dict(self.options).get("backend")
+        if backend not in (None, "array"):
             raise ConfigError(
                 f"BatchEngineRun runs on the array backend by construction; "
-                f"got backend={self.backend!r}"
+                f"got backend={backend!r}"
             )
 
     def __call__(

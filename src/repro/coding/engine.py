@@ -24,13 +24,13 @@ what that buys on low-degree overlays.
 
 On the :mod:`repro.sim` kernel, delivery means inserting the coded
 vector into the receiver's basis (the policy overrides the kernel's
-delivery hook), and the engine gains the full fault model
-(``fault_support = "full"``): transfer loss, link/server outages, stall
-abort, progress callbacks, and node crash/rejoin. Retained state across
-a crash is *rows of the GF(2) basis*, not block bits: each basis row
-survives independently with probability ``rejoin_retention``, and the
-rejoining node's basis is rebuilt (rank recomputed) from the surviving
-rows — a strict subspace of what it held at crash time.
+delivery hook), and the engine gains the full fault model: transfer
+loss, link/server outages, stall abort, progress callbacks, and node
+crash/rejoin. Retained state across a crash is *rows of the GF(2)
+basis*, not block bits: each basis row survives independently with
+probability ``rejoin_retention``, and the rejoining node's basis is
+rebuilt (rank recomputed) from the surviving rows — a strict subspace
+of what it held at crash time.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ class CodingTickPolicy(TickPolicy):
     """
 
     name = "network-coding"
-    fault_support = "full"
-    membership_support = True
     # Free-riders only: a polluted coded vector would desynchronise the
     # coding_vectors streams from the kernel log (verify_coding_log
     # replays spans row-for-row), so pollution/lie plans are refused
@@ -355,23 +353,6 @@ class NetworkCodingEngine:
     @property
     def redundant(self) -> int:
         return self.tick_policy.redundant
-
-    @property
-    def log(self):
-        return self.kernel.log
-
-    @property
-    def tick(self) -> int:
-        return self.kernel.tick
-
-    @property
-    def graph(self) -> Graph:
-        assert self.kernel.graph is not None
-        return self.kernel.graph
-
-    @property
-    def uploads_per_tick(self) -> list[int]:
-        return self.kernel.uploads_per_tick
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         """Run until every client can decode, or the tick guard trips."""

@@ -200,11 +200,10 @@ def _engine_table() -> str:
     """Render the :mod:`repro.sim` engine registry as an aligned table."""
     from ..sim.registry import ENGINES
 
-    rows = [("engine", "faults", "adversary", "bandwidth", "mechanism", "summary")]
+    rows = [("engine", "adversary", "bandwidth", "mechanism", "summary")]
     rows.extend(
         (
             spec.name,
-            spec.fault_support,
             spec.adversary_support,
             spec.bandwidth_support,
             spec.mechanism,
@@ -212,11 +211,11 @@ def _engine_table() -> str:
         )
         for spec in ENGINES.values()
     )
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
+    widths = [max(len(row[i]) for row in rows) for i in range(4)]
     lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row[:5]))
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
         + "  "
-        + row[5]
+        + row[4]
         for row in rows
     ]
     lines.insert(1, "-" * max(map(len, lines)))

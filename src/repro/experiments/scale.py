@@ -358,6 +358,11 @@ def sweep_task_counts(scale: str | Scale | None = None) -> dict[str, int]:
     job — the unit the campaign executors schedule and the result cache
     keys. Tests pin these numbers so preset edits are deliberate.
     """
+    # Imported lazily: the experiment modules import this one.
+    from .heterogeneity import MECHANISMS as HET_MECHANISMS, POLICIES
+    from .open_system import MECHANISMS as OS_MECHANISMS, SCENARIOS
+    from .resilience import MECHANISMS as RES_MECHANISMS
+
     s = resolve_scale(scale)
     r = s.replicates
     return {
@@ -369,17 +374,25 @@ def sweep_task_counts(scale: str | Scale | None = None) -> dict[str, int]:
         # Figures 6-7 sweep two credit curves over the degree grid.
         "fig6": 2 * len(s.fig67_degrees) * r,
         "fig7": 2 * len(s.fig67_degrees) * r,
-        # Resilience: three mechanisms over the full loss x crash grid.
-        "resilience": 3 * len(s.res_loss_rates) * len(s.res_crash_rates) * r,
-        # Open system: six mechanisms x arrival rates x three scenarios
-        # (flash / steady / diurnal).
-        "open-system": 6 * len(s.os_rates) * 3 * r,
-        # Adversary: six mechanisms over the adversary-fraction grid.
-        "adversary": 6 * len(s.adv_fractions) * r,
-        # Heterogeneity: six mechanisms x tier mixes under equal
-        # service, plus the priority (bittorrent) and paid (credit)
-        # differentiated-service policies over the non-uniform mixes.
-        "heterogeneity": (6 * len(s.het_mixes) + 2 * (len(s.het_mixes) - 1))
+        # Resilience: every mechanism over the full loss x crash grid.
+        "resilience": len(RES_MECHANISMS)
+        * len(s.res_loss_rates)
+        * len(s.res_crash_rates)
+        * r,
+        # Open system: mechanisms x arrival rates x scenarios.
+        "open-system": len(OS_MECHANISMS)
+        * len(s.os_rates)
+        * len(SCENARIOS)
+        * r,
+        # Adversary: resilience's mechanisms over the fraction grid.
+        "adversary": len(RES_MECHANISMS) * len(s.adv_fractions) * r,
+        # Heterogeneity: mechanisms x tier mixes under equal service,
+        # plus each differentiated-service policy over the non-uniform
+        # mixes.
+        "heterogeneity": (
+            len(HET_MECHANISMS) * len(s.het_mixes)
+            + len(POLICIES) * (len(s.het_mixes) - 1)
+        )
         * r,
     }
 

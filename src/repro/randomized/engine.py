@@ -37,11 +37,9 @@ import numpy as np
 
 from ..core.blocks import bit_indices
 from ..core.errors import ConfigError
-from ..core.log import RunResult, TransferLog
+from ..core.log import RunResult
 from ..core.mechanisms import Cooperative, CreditLimitedBarter, Mechanism
 from ..core.model import SERVER, BandwidthModel
-from ..core.state import SwarmState
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.recovery import RecoveryPolicy
 from ..overlays.dynamic import DynamicOverlay
@@ -66,9 +64,7 @@ class RandomizedTickPolicy(TickPolicy):
     """
 
     name = "randomized"
-    fault_support = "full"
     supports_array = True
-    membership_support = True
     adversary_support = "full"
     bandwidth_support = "full"
 
@@ -661,8 +657,8 @@ class RandomizedEngine:
 
     A construction facade: validates arguments, builds a
     :class:`RandomizedTickPolicy` and the :class:`~repro.sim.kernel.
-    TickKernel` that drives it, and exposes the familiar attribute
-    surface (``state``, ``log``, ``tick``, ``graph``, ...) by delegation.
+    TickKernel` that drives it. Run state (``state``, ``log``, ``tick``,
+    ``graph``, ...) lives on ``engine.kernel``.
 
     Parameters
     ----------
@@ -822,83 +818,6 @@ class RandomizedEngine:
             graph=graph,
             dynamic=dynamic,
         )
-
-    # -- delegation to the kernel ------------------------------------------
-
-    @property
-    def state(self) -> SwarmState:
-        return self.kernel.state
-
-    @property
-    def log(self) -> TransferLog:
-        return self.kernel.log
-
-    @property
-    def rng(self) -> random.Random:
-        return self.kernel.rng
-
-    @property
-    def model(self) -> BandwidthModel:
-        return self.kernel.model
-
-    @property
-    def max_ticks(self) -> int:
-        return self.kernel.max_ticks
-
-    @property
-    def keep_log(self) -> bool:
-        return self.kernel.keep_log
-
-    @property
-    def tick(self) -> int:
-        return self.kernel.tick
-
-    @tick.setter
-    def tick(self, value: int) -> None:
-        self.kernel.tick = value
-
-    @property
-    def graph(self) -> Graph:
-        assert self.kernel.graph is not None
-        return self.kernel.graph
-
-    @property
-    def uploads_per_tick(self) -> list[int]:
-        return self.kernel.uploads_per_tick
-
-    @property
-    def failures_per_tick(self) -> list[int]:
-        return self.kernel.failures_per_tick
-
-    @property
-    def faults(self) -> FaultInjector | None:
-        return self.kernel.faults
-
-    @property
-    def fault_plan(self) -> FaultPlan | None:
-        return self.kernel.fault_plan
-
-    @property
-    def recovery(self) -> RecoveryPolicy:
-        return self.kernel.recovery
-
-    @property
-    def _absent(self) -> set[int]:
-        return self.kernel.absent
-
-    def _pool_add(self, v: int) -> None:
-        self.kernel._pool_add(v)
-
-    def _pool_remove(self, v: int) -> None:
-        self.kernel._pool_remove(v)
-
-    def _run_tick(self) -> int:
-        """Advance one tick; returns the number of *delivered* transfers.
-
-        Failed attempts (fault injection) are counted separately in
-        ``failures_per_tick``.
-        """
-        return self.kernel.step()
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         """Run until every client completes or ``max_ticks`` elapse.

@@ -55,14 +55,12 @@ class ExchangeTickPolicy(TickPolicy):
     """
 
     name = "randomized-exchange"
-    fault_support = "full"
     uses_download_ledger = False
     # Matching decisions feed back on live masks (a delivered swap
     # changes later partners' mutual interest), so exchange keeps the
     # per-attempt path on the array backend and gains its mirrored
     # ownership words and deferred bulk logging.
     supports_array = True
-    membership_support = True
     adversary_support = "full"
     # One swap per client per tick is structural here — a fast tier's
     # extra upload capacity cannot be spent — so only the download axis
@@ -240,23 +238,6 @@ class ExchangeEngine:
             bandwidth=bandwidth,
             telemetry=telemetry,
         )
-
-    @property
-    def state(self):
-        return self.kernel.state
-
-    @property
-    def log(self):
-        return self.kernel.log
-
-    @property
-    def tick(self) -> int:
-        return self.kernel.tick
-
-    @property
-    def graph(self) -> Graph:
-        assert self.kernel.graph is not None
-        return self.kernel.graph
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         return self.kernel.run(progress)

@@ -26,10 +26,12 @@ Kernel responsibilities, per tick:
    with deadlock only on a *conclusive* zero-attempt tick.
 
 RNG discipline: the kernel draws nothing itself. Decision randomness
-belongs to the policy (via ``kernel.rng``); fault randomness to the
-injector's own stream, seeded once from ``rng.getrandbits(63)`` exactly
-as the pre-kernel engines did — which is why the golden-log suite can
-require byte-identical transfer logs across the refactor.
+belongs to the policy (via ``kernel.rng``). Each scenario axis in
+:data:`AXES` (faults, workload, adversary, bandwidth, telemetry) that
+needs randomness gets its own stream, seeded once from
+``rng.getrandbits(63)`` in the order of that tuple — which is why the
+golden-log suite can require byte-identical transfer logs across
+refactors, and why attaching one axis never shifts another's draws.
 """
 
 from __future__ import annotations
@@ -55,14 +57,9 @@ from ..telemetry.spec import TelemetrySpec
 from ..workloads.compiler import compile_workload
 from ..workloads.spec import WorkloadSpec
 from .membership import MembershipRuntime
-from .policy import (
-    ADVERSARY_SUPPORT_LEVELS,
-    BANDWIDTH_SUPPORT_LEVELS,
-    FAULT_SUPPORT_LEVELS,
-    TickPolicy,
-)
+from .policy import ADVERSARY_SUPPORT_LEVELS, BANDWIDTH_SUPPORT_LEVELS, TickPolicy
 
-__all__ = ["TickKernel", "default_max_ticks"]
+__all__ = ["AXES", "Axis", "TickKernel", "default_max_ticks"]
 
 
 def default_max_ticks(n: int, k: int) -> int:
@@ -70,6 +67,219 @@ def default_max_ticks(n: int, k: int) -> int:
     (worst cases there are ~6k ticks at n = k = 1000), yet finite so a
     non-converging configuration returns instead of spinning."""
     return 40 * k + 10 * n + 1000
+
+
+# -- scenario axes ----------------------------------------------------------
+
+
+class Axis:
+    """One optional scenario dimension of a :class:`TickKernel` run.
+
+    Every axis keeps the same contract. A ``None`` or null spec is
+    normalised away: no runtime, no RNG draw, so the run is bit-identical
+    to one without the keyword. A spec the policy cannot honor is refused
+    with :class:`~repro.core.errors.ConfigError` instead of being silently
+    ignored. An accepted spec is armed, with a child seed drawn from the
+    decision stream only when :meth:`needs_seed` says so.
+    """
+
+    #: ``TickKernel`` keyword; also the fingerprint and ``meta`` key.
+    name = ""
+    #: Kernel slot holding the armed spec (``None`` when unarmed).
+    slot = ""
+    #: Kernel slot of the runtime whose ``capture_state`` /
+    #: ``restore_state`` a checkpoint carries, and its document key.
+    runtime: str | None = None
+    state_key: str | None = None
+    #: Policy attribute declaring the supported level, and its values.
+    support: str | None = None
+    levels: tuple[str, ...] = ()
+
+    def is_null(self, spec) -> bool:
+        return spec.is_null
+
+    def lacking(self, level: str, spec) -> str | None:
+        """What of ``spec`` a policy at ``level`` cannot carry, if any."""
+        return None
+
+    def require(self, kernel: "TickKernel", spec) -> None:
+        """Raise ``ConfigError`` if the run cannot honor ``spec``."""
+        if self.support is None:
+            return
+        policy = kernel.policy
+        level = getattr(policy, self.support)
+        if level not in self.levels:  # pragma: no cover - dev error
+            raise ConfigError(
+                f"policy {policy.name!r} declares unknown {self.support} {level!r}"
+            )
+        lacking = self.lacking(level, spec)
+        if lacking is not None:
+            raise ConfigError(
+                f"the {policy.name} engine ({self.support}={level!r}) does "
+                f"not support {lacking}; remove the {type(spec).__name__} "
+                f"or pick an engine from the {self.name} parity table in "
+                f"docs/API.md"
+            )
+
+    def needs_seed(self, spec) -> bool:
+        return True
+
+    def arm(self, kernel: "TickKernel", spec, seed: int | None) -> None:
+        setattr(kernel, self.slot, spec)
+
+    def state(self, kernel: "TickKernel"):
+        """The armed runtime a checkpoint captures, or ``None``."""
+        return None if self.runtime is None else getattr(kernel, self.runtime)
+
+    def fingerprint(self, kernel: "TickKernel") -> object:
+        # A runtime axis carries its state in the checkpoint, so only
+        # whether it is armed belongs to the run's shape; a stateless
+        # axis is pinned by its spec.
+        if self.runtime is not None:
+            return self.state(kernel) is not None
+        spec = getattr(kernel, self.slot)
+        return None if spec is None else repr(spec)
+
+    def describe(self, kernel: "TickKernel", meta: dict, completions) -> None:
+        """Add this armed axis' keys to the run's ``meta``."""
+        meta[self.name] = getattr(kernel, self.slot).describe()
+
+
+class _Faults(Axis):
+    name, slot = "faults", "fault_plan"
+    runtime = state_key = "faults"
+
+    def arm(self, kernel, plan, seed):
+        kernel.fault_plan = plan
+        kernel.faults = injector = FaultInjector(plan, random.Random(seed))
+        kernel._stall_window = kernel.recovery.stall_window_for(plan)
+        if injector.judges_links:
+            kernel._judge = injector.transfer_fails
+
+    def describe(self, kernel, meta, completions):
+        super().describe(kernel, meta, completions)
+        meta["failures_per_tick"] = kernel.failures_per_tick
+        meta["stall_window"] = kernel._stall_window
+        meta.update(kernel.faults.telemetry())
+        meta.update(kernel.faults.events())
+
+
+class _Workload(Axis):
+    name = slot = "workload"
+    runtime, state_key = "_membership", "membership"
+
+    def arm(self, kernel, spec, seed):
+        kernel.workload = spec
+        compiled = compile_workload(spec, kernel.n, seed=seed, horizon=kernel.max_ticks)
+        kernel._membership = MembershipRuntime(kernel, compiled)
+
+    def describe(self, kernel, meta, completions):
+        super().describe(kernel, meta, completions)
+        meta.update(kernel._membership.telemetry())
+
+
+class _Adversary(Axis):
+    name, slot = "adversary", "adversary_plan"
+    runtime = state_key = "adversary"
+    support, levels = "adversary_support", ADVERSARY_SUPPORT_LEVELS
+
+    def lacking(self, level, plan):
+        if level == "none":
+            return "adversarial behavior"
+        if (plan.pollutes or plan.lies) and level != "full":
+            return "polluters or liars (free-riders only)"
+        return None
+
+    def needs_seed(self, plan):
+        # A purely deterministic plan (explicit free-riders only) draws
+        # nothing, which keeps the ``selfish=`` shim bit-identical.
+        return plan.needs_rng
+
+    def arm(self, kernel, plan, seed):
+        kernel.adversary_plan = plan
+        rng = None if seed is None else random.Random(seed)
+        kernel.adversary = AdversaryDriver(plan, kernel.n, rng)
+        if (plan.pollutes or plan.lies) and kernel._stall_window == 0:
+            # Pollution and lies burn attempts without progress, so an
+            # adversarial run needs the stall verdict even when no fault
+            # injector armed one.
+            kernel._stall_window = kernel.recovery.stall_window_for_adversary(plan)
+
+    def describe(self, kernel, meta, completions):
+        super().describe(kernel, meta, completions)
+        plan, driver = kernel.adversary_plan, kernel.adversary
+        realized = driver.realized()
+        if realized:
+            meta["adversary_realized"] = realized
+        if plan.pollutes or plan.lies:
+            meta["stall_window"] = kernel._stall_window
+        meta.update(driver.telemetry())
+        meta.update(driver.events())
+
+
+class _Bandwidth(Axis):
+    name = slot = "bandwidth"
+    support, levels = "bandwidth_support", BANDWIDTH_SUPPORT_LEVELS
+
+    def lacking(self, level, spec):
+        if level == "none":
+            return "heterogeneous bandwidth classes"
+        if level == "download" and any(t.upload != 1 for t in spec.tiers):
+            return "per-node upload tiers (set every tier's upload to 1)"
+        return None
+
+    def arm(self, kernel, spec, seed):
+        # The realized per-node model replaces ``model`` for the whole
+        # run: capacity charging, verification and metadata.
+        kernel.bandwidth = spec
+        kernel.model = spec.realize(kernel.n, seed, base=kernel.model)
+
+    def describe(self, kernel, meta, completions):
+        super().describe(kernel, meta, completions)
+        meta["tier_counts"] = kernel.model.tier_counts()
+
+
+class _Telemetry(Axis):
+    name = slot = "telemetry"
+
+    def is_null(self, spec):
+        return False
+
+    def require(self, kernel, spec):
+        if not kernel.keep_log:
+            raise ConfigError(
+                "telemetry digests the completed transfer log, which "
+                "keep_log=False discards; arm telemetry with "
+                "keep_log=True or drop the TelemetrySpec"
+            )
+
+    def needs_seed(self, spec):
+        return False
+
+    def describe(self, kernel, meta, completions):
+        # Post-run log digestion: zero hot-path cost, zero RNG.
+        meta["telemetry"] = digest_run(
+            kernel.telemetry,
+            n=kernel.n,
+            k=kernel.k,
+            model=kernel.model,
+            log=kernel.log,
+            completions=completions,
+            ticks=kernel.tick,
+        )
+
+
+#: The scenario axes in arming order, which is also the order their
+#: child seeds are drawn from the decision stream. Appending an axis
+#: keeps every existing stream (and golden fixture) where it was;
+#: reordering this tuple changes every armed run.
+AXES: tuple[Axis, ...] = (
+    _Faults(),
+    _Workload(),
+    _Adversary(),
+    _Bandwidth(),
+    _Telemetry(),
+)
 
 
 class TickKernel:
@@ -92,10 +302,20 @@ class TickKernel:
     keep_log:
         Record every transfer (needed for verification); off saves
         memory on huge sweeps — per-tick upload counts are kept anyway.
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan`. A null plan is
-        normalised to "no faults" (bit-identical runs); a non-null plan
-        must fit ``policy.fault_support`` or construction raises
+    faults, workload, adversary, bandwidth, telemetry:
+        The optional scenario specs — a
+        :class:`~repro.faults.plan.FaultPlan`, a
+        :class:`~repro.workloads.spec.WorkloadSpec` (executed by
+        :class:`~repro.sim.membership.MembershipRuntime`), an
+        :class:`~repro.adversary.plan.AdversaryPlan` (checked against
+        ``policy.adversary_support``), a
+        :class:`~repro.core.bandwidth.BandwidthClasses` (checked against
+        ``policy.bandwidth_support``; the realized per-node model
+        replaces ``model``) and a :class:`~repro.telemetry.TelemetrySpec`
+        (a post-run log digest in ``meta["telemetry"]``; needs
+        ``keep_log=True``). Each is armed by its entry in :data:`AXES`,
+        in that tuple's order: a null spec costs nothing and changes
+        nothing, and a spec the policy cannot honor raises
         :class:`~repro.core.errors.ConfigError`.
     recovery:
         :class:`~repro.faults.recovery.RecoveryPolicy` governing stall
@@ -114,45 +334,6 @@ class TickKernel:
         replica view) is accepted in place of the string. Raises
         :class:`~repro.core.errors.ConfigError` naming the engine when
         the policy lacks array support.
-    workload:
-        Optional :class:`~repro.workloads.spec.WorkloadSpec`. A null
-        spec is normalised to "no workload" (bit-identical runs); a
-        non-null spec needs ``policy.membership_support`` or
-        construction raises :class:`~repro.core.errors.ConfigError` —
-        the ``fault_support`` honesty contract, applied to arrivals.
-        The spec is compiled once per run with a seed drawn from the
-        decision stream (after the fault injector's, so fault telemetry
-        is unchanged by attaching a workload) and executed by
-        :class:`~repro.sim.membership.MembershipRuntime`.
-    adversary:
-        Optional :class:`~repro.adversary.plan.AdversaryPlan`. A null
-        plan is normalised to "no adversaries" (bit-identical runs); a
-        non-null plan must fit ``policy.adversary_support`` — the
-        ``fault_support`` honesty contract, applied to misbehavior — or
-        construction raises :class:`~repro.core.errors.ConfigError`.
-        The driver's RNG stream is seeded *last* (after the injector's
-        and the workload compile seed) and only for plans that actually
-        need randomness, so attaching a purely deterministic plan
-        (explicit free-riders only) costs zero draws — which is what
-        makes the ``selfish`` deprecation shim bit-identical.
-    bandwidth:
-        Optional :class:`~repro.core.bandwidth.BandwidthClasses`. A null
-        spec is normalised to "uniform model" (bit-identical runs); a
-        non-null spec must fit ``policy.bandwidth_support`` — the
-        ``fault_support`` honesty contract, applied to capacities — or
-        construction raises :class:`~repro.core.errors.ConfigError`.
-        Realization draws one seed from the decision stream, *after*
-        every other derived stream (injector, workload, adversary), so
-        attaching tiers never shifts fault, arrival or adversary
-        randomness; the realized per-node model replaces ``model`` for
-        the whole run (capacity charging, verification, metadata).
-    telemetry:
-        Optional :class:`~repro.telemetry.TelemetrySpec`. The digest is
-        computed *after* the tick loop from the completed transfer log
-        (zero hot-path cost, zero RNG — armed runs are byte-identical)
-        and exported as ``meta["telemetry"]``. Requires
-        ``keep_log=True``; the combination with ``keep_log=False``
-        raises :class:`~repro.core.errors.ConfigError`.
     """
 
     # Slotted: ``attempt`` / ``_deliver_mask`` run once per transfer
@@ -234,48 +415,18 @@ class TickKernel:
         self._ckpt_hook: Callable[[dict], None] | None = None
         self._heartbeat: Callable[[int], None] | None = None
 
-        # Fault injection. A null plan is normalised away so that
-        # ``faults=FaultPlan()`` costs nothing — no injector, no extra
-        # RNG draw — and the run is bit-identical to a fault-free one.
-        support = policy.fault_support
-        if support not in FAULT_SUPPORT_LEVELS:  # pragma: no cover - dev error
-            raise ConfigError(
-                f"policy {policy.name!r} declares unknown fault_support "
-                f"{support!r}"
-            )
+        # Scenario-axis slots, unarmed until the AXES loop below.
         self.recovery = recovery or RecoveryPolicy()
-        plan = faults if faults is not None and not faults.is_null else None
-        if plan is not None:
-            if support == "none":
-                raise ConfigError(
-                    f"the {policy.name} engine does not support fault "
-                    f"injection (fault_support='none'); remove the "
-                    f"FaultPlan or pick an engine from the fault parity "
-                    f"table in docs/API.md"
-                )
-            if plan.crash_rate > 0.0 and support != "full":
-                raise ConfigError(
-                    f"the {policy.name} engine (fault_support={support!r}) "
-                    f"carries transfer loss, link outages and server outage "
-                    f"windows, but not node crashes "
-                    f"(crash_rate={plan.crash_rate}); set crash_rate=0 or "
-                    f"pick a fault_support='full' engine from the fault "
-                    f"parity table in docs/API.md"
-                )
-        self.fault_plan = plan
-        if plan is not None:
-            self.faults: FaultInjector | None = FaultInjector(
-                plan, random.Random(self.rng.getrandbits(63))
-            )
-            self._stall_window = self.recovery.stall_window_for(plan)
-        else:
-            self.faults = None
-            self._stall_window = 0
-        self._judge = (
-            self.faults.transfer_fails
-            if self.faults is not None and self.faults.judges_links
-            else None
-        )
+        self.fault_plan: FaultPlan | None = None
+        self.faults: FaultInjector | None = None
+        self._judge: Callable[[int, int, int], bool] | None = None
+        self._stall_window = 0
+        self.workload: WorkloadSpec | None = None
+        self._membership: MembershipRuntime | None = None
+        self.adversary_plan: AdversaryPlan | None = None
+        self.adversary: AdversaryDriver | None = None
+        self.bandwidth: BandwidthClasses | None = None
+        self.telemetry: TelemetrySpec | None = None
         # Policies may own delivery application entirely (network coding
         # inserts basis rows instead of setting mask bits).
         deliver = getattr(policy, "deliver", None)
@@ -320,121 +471,23 @@ class TickKernel:
         else:
             self._log_delivery = self.log.record
             self._log_failure = self.log.record_failure
+        # Binding comes first: the membership runtime calls policy hooks.
         policy.bind(self)
 
-        # Open-system workload. Mirrors the fault-plan contract: a null
-        # spec is normalised away (no membership runtime, no extra RNG
-        # draw — bit-identical to a plain run), and a non-null spec on a
-        # policy without membership support is refused loudly. The
-        # compile seed is drawn *after* the fault injector's, so
-        # attaching a workload never shifts fault randomness.
-        spec = workload if workload is not None and not workload.is_null else None
-        self.workload = spec
-        if spec is not None:
-            if not policy.membership_support:
-                raise ConfigError(
-                    f"the {policy.name} engine does not support open-system "
-                    f"workloads (membership_support=False); remove the "
-                    f"WorkloadSpec or pick a membership-capable engine "
-                    f"from the registry table (repro-experiments engines)"
-                )
-            compiled = compile_workload(
-                spec, n, seed=self.rng.getrandbits(63), horizon=self.max_ticks
-            )
-            self._membership: MembershipRuntime | None = MembershipRuntime(
-                self, compiled
-            )
-        else:
-            self._membership = None
-
-        # Adversarial behavior. Same normalisation contract as faults and
-        # workloads: a null plan is normalised away (no driver, no extra
-        # RNG draw — bit-identical to a clean run), and a non-null plan
-        # an engine cannot honor is refused loudly. The driver's seed is
-        # drawn after the injector's and the workload's, so attaching an
-        # adversary never shifts fault or arrival randomness; plans that
-        # need no randomness (explicit free-riders only) draw nothing at
-        # all.
-        adv_support = policy.adversary_support
-        if adv_support not in ADVERSARY_SUPPORT_LEVELS:  # pragma: no cover - dev error
-            raise ConfigError(
-                f"policy {policy.name!r} declares unknown adversary_support "
-                f"{adv_support!r}"
-            )
-        aplan = adversary if adversary is not None and not adversary.is_null else None
-        if aplan is not None:
-            if adv_support == "none":
-                raise ConfigError(
-                    f"the {policy.name} engine does not support adversarial "
-                    f"behavior (adversary_support='none'); remove the "
-                    f"AdversaryPlan or pick an engine from the adversary "
-                    f"parity table in docs/API.md"
-                )
-            if (aplan.pollutes or aplan.lies) and adv_support != "full":
-                raise ConfigError(
-                    f"the {policy.name} engine "
-                    f"(adversary_support={adv_support!r}) carries "
-                    f"free-riders, but not polluters or liars; drop the "
-                    f"pollution/lie axes or pick an adversary_support="
-                    f"'full' engine from the parity table in docs/API.md"
-                )
-        self.adversary_plan = aplan
-        if aplan is not None:
-            self.adversary: AdversaryDriver | None = AdversaryDriver(
-                aplan,
-                n,
-                random.Random(self.rng.getrandbits(63))
-                if aplan.needs_rng
-                else None,
-            )
-            if (aplan.pollutes or aplan.lies) and self._stall_window == 0:
-                # Pollution and lies burn attempts without progress, so
-                # an adversarial run needs the stall verdict even when no
-                # fault injector armed one.
-                self._stall_window = self.recovery.stall_window_for_adversary(
-                    aplan
-                )
-        else:
-            self.adversary = None
-
-        # Heterogeneous bandwidth classes. Same normalisation contract:
-        # a null spec is the uniform model (no realization, no extra RNG
-        # draw — bit-identical to a plain run); a non-null spec a policy
-        # cannot honor is refused loudly. The realization seed is drawn
-        # *last* — after the injector's, the workload compile seed and
-        # the adversary driver's — so attaching tiers never shifts any
-        # other stream's randomness.
-        bw_support = policy.bandwidth_support
-        if bw_support not in BANDWIDTH_SUPPORT_LEVELS:  # pragma: no cover - dev error
-            raise ConfigError(
-                f"policy {policy.name!r} declares unknown bandwidth_support "
-                f"{bw_support!r}"
-            )
-        bspec = bandwidth if bandwidth is not None and not bandwidth.is_null else None
-        if bspec is not None:
-            if bw_support == "none":
-                raise ConfigError(
-                    f"the {policy.name} engine does not support "
-                    f"heterogeneous bandwidth classes "
-                    f"(bandwidth_support='none'); remove the "
-                    f"BandwidthClasses spec or pick an engine from the "
-                    f"bandwidth parity table in docs/API.md"
-                )
-            if bw_support == "download" and any(
-                t.upload != 1 for t in bspec.tiers
-            ):
-                raise ConfigError(
-                    f"the {policy.name} engine "
-                    f"(bandwidth_support='download') charges per-node "
-                    f"download capacities but keeps client uploads "
-                    f"structurally at 1 block/tick; set every tier's "
-                    f"upload to 1 or pick a bandwidth_support='full' "
-                    f"engine from the parity table in docs/API.md"
-                )
-            self.model = bspec.realize(
-                n, self.rng.getrandbits(63), base=self.model
-            )
-        self.bandwidth = bspec
+        specs = {
+            "faults": faults,
+            "workload": workload,
+            "adversary": adversary,
+            "bandwidth": bandwidth,
+            "telemetry": telemetry,
+        }
+        for axis in AXES:
+            spec = specs[axis.name]
+            if spec is None or axis.is_null(spec):
+                continue
+            axis.require(self, spec)
+            seed = self.rng.getrandbits(63) if axis.needs_seed(spec) else None
+            axis.arm(self, spec, seed)
         if self.credit is not None and getattr(
             self.credit, "tier_multipliers", None
         ):
@@ -443,16 +496,6 @@ class TickKernel:
             # and the offline verifier then judge the same per-node
             # limits.
             self.credit.bind_tiers(self.model)
-
-        # Telemetry is post-run log digestion, so it changes nothing
-        # about the run itself — but it needs the log.
-        if telemetry is not None and not keep_log:
-            raise ConfigError(
-                "telemetry digests the completed transfer log, which "
-                "keep_log=False discards; arm telemetry with "
-                "keep_log=True or drop the TelemetrySpec"
-            )
-        self.telemetry = telemetry
 
         # Per-tick download capacities, precomputed once. Uniform models
         # keep the historical [cap] * n shape; heterogeneous realizations
@@ -730,19 +773,17 @@ class TickKernel:
         """Shape of this run, validated on restore. The execution backend
         is deliberately absent: loop and array runs are byte-identical,
         so resuming across backends is legal (and tested)."""
-        return {
+        fingerprint: dict[str, object] = {
             "n": self.n,
             "k": self.k,
             "policy": self.policy.name,
             "max_ticks": self.max_ticks,
             "keep_log": self.keep_log,
             "credit": self.credit is not None,
-            "faults": self.faults is not None,
-            "workload": self._membership is not None,
-            "adversary": self.adversary is not None,
-            "bandwidth": None if self.bandwidth is None else repr(self.bandwidth),
-            "telemetry": None if self.telemetry is None else repr(self.telemetry),
         }
+        for axis in AXES:
+            fingerprint[axis.name] = axis.fingerprint(self)
+        return fingerprint
 
     def checkpoint(self) -> dict[str, object]:
         """Capture the complete tick-boundary state as a JSON-shaped dict.
@@ -791,12 +832,10 @@ class TickKernel:
                 payload["log"]["phantoms"] = [  # type: ignore[index]
                     list(t) for t in self.log.phantoms
                 ]
-        if self.faults is not None:
-            payload["faults"] = self.faults.capture_state()
-        if self._membership is not None:
-            payload["membership"] = self._membership.capture_state()
-        if self.adversary is not None:
-            payload["adversary"] = self.adversary.capture_state()
+        for axis in AXES:
+            runtime = axis.state(self)
+            if runtime is not None:
+                payload[axis.state_key] = runtime.capture_state()
         return payload
 
     def restore_checkpoint(self, document: dict[str, object]) -> None:
@@ -862,12 +901,10 @@ class TickKernel:
             # re-register it on the swarm state.
             self.array.state.attach(self.state)
             self.array.pool_active = False
-        if self.faults is not None:
-            self.faults.restore_state(document["faults"])
-        if self._membership is not None:
-            self._membership.restore_state(document["membership"])
-        if self.adversary is not None:
-            self.adversary.restore_state(document["adversary"])
+        for axis in AXES:
+            runtime = axis.state(self)
+            if runtime is not None:
+                runtime.restore_state(document[axis.state_key])
         self.policy.restore_state(document["policy"])
 
     def arm_checkpoints(
@@ -917,7 +954,6 @@ class TickKernel:
         deadlock or, under fault injection, on stall detection — see
         :attr:`~repro.core.log.RunResult.abort`.
         """
-        inj = self.faults
         deadlocked = False
         abort: str | None = None
         # Stall detection runs whenever a window is armed: every fault
@@ -970,49 +1006,22 @@ class TickKernel:
 
         self.sync_log()
         completed = self._goal_reached()
-        completions = self.policy.completions()
-        meta = self.policy.result_meta()
         membership = self._membership
-        if membership is not None:
-            # Membership tracks completion ticks directly (they must
-            # survive ``keep_log=False`` and departures), and the
-            # open-system telemetry rides in the metadata.
-            completions = membership.completed_ticks()
-            meta["workload"] = self.workload.describe()
-            meta.update(membership.telemetry())
+        # Membership tracks completion ticks directly: they must survive
+        # ``keep_log=False`` and departures.
+        completions = (
+            self.policy.completions()
+            if membership is None
+            else membership.completed_ticks()
+        )
+        meta = self.policy.result_meta()
         meta["deadlocked"] = deadlocked
         if deadlocked:
             abort = "deadlock"
         meta["abort"] = None if completed else (abort or "max-ticks")
-        if inj is not None:
-            meta["faults"] = self.fault_plan.describe()
-            meta["failures_per_tick"] = self.failures_per_tick
-            meta["stall_window"] = self._stall_window
-            meta.update(inj.telemetry())
-            meta.update(inj.events())
-        adv = self.adversary
-        if adv is not None:
-            meta["adversary"] = self.adversary_plan.describe()
-            realized = adv.realized()
-            if realized:
-                meta["adversary_realized"] = realized
-            if (self.adversary_plan.pollutes or self.adversary_plan.lies):
-                meta["stall_window"] = self._stall_window
-            meta.update(adv.telemetry())
-            meta.update(adv.events())
-        if self.bandwidth is not None:
-            meta["bandwidth"] = self.bandwidth.describe()
-            meta["tier_counts"] = self.model.tier_counts()
-        if self.telemetry is not None:
-            meta["telemetry"] = digest_run(
-                self.telemetry,
-                n=self.n,
-                k=self.k,
-                model=self.model,
-                log=self.log,
-                completions=completions,
-                ticks=self.tick,
-            )
+        for axis in AXES:
+            if getattr(self, axis.slot) is not None:
+                axis.describe(self, meta, completions)
         return RunResult(
             n=self.n,
             k=self.k,

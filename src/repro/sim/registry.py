@@ -15,9 +15,10 @@ engines as data::
     result = run_engine("exchange", n=50, k=20, rng=7,
                         faults=FaultPlan(loss_rate=0.05))
 
-A fault plan an engine cannot honor raises
-:class:`~repro.core.errors.ConfigError` at construction (see
-``EngineSpec.fault_support``) instead of being silently ignored.
+A scenario an engine cannot honor raises
+:class:`~repro.core.errors.ConfigError` at construction instead of being
+silently ignored; each entry reads its support levels
+(``EngineSpec.adversary_support`` and friends) from its policy class.
 
 Array-capable engines (``EngineSpec.array_backend``) additionally accept
 ``backend="array"`` — the :mod:`repro.sim.array` vectorized backend,
@@ -29,13 +30,14 @@ swarm-wide, in which case array-capable engines pick the array backend up
 ``backend=`` explicitly always wins, and an *explicit* ``"array"`` on an
 unsupporting engine raises ``ConfigError`` naming the engine.
 
-Engine modules are imported lazily inside each factory: the registry is
-imported by :mod:`repro.sim`, which the engines themselves import for the
-kernel, and laziness breaks that cycle.
+Engine modules are imported lazily, on first use of an entry: the
+registry is imported by :mod:`repro.sim`, which the engines themselves
+import for the kernel, and laziness breaks that cycle.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -54,9 +56,19 @@ __all__ = [
 ]
 
 
+def _load(path: str) -> Any:
+    """Import ``"module:attr"`` and return the attribute."""
+    module, _, attr = path.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
 @dataclass(frozen=True)
 class EngineSpec:
-    """One registry entry: how to build an engine and what it can do."""
+    """One registry entry: how to build an engine and what it can do.
+
+    What it can do is read from its tick-policy class, importing the
+    engine's module on first access.
+    """
 
     #: Registry key (also the conventional CLI / campaign label).
     name: str
@@ -64,63 +76,36 @@ class EngineSpec:
     summary: str
     #: Paper mechanism the engine realises (see DESIGN.md mapping).
     mechanism: str
-    #: Fault axes the engine honors — ``"none"`` / ``"links"`` /
-    #: ``"full"``; plans beyond this raise ``ConfigError``.
-    fault_support: str
-    #: ``factory(n, k, **kwargs)`` returning an object with
-    #: ``run(progress=None) -> RunResult``.
-    factory: Callable[..., Any]
-    #: Whether the engine accepts ``backend="array"``
-    #: (:mod:`repro.sim.array`); others reject it with ``ConfigError``.
-    array_backend: bool = False
-    #: Adversary axes the engine honors — ``"none"`` / ``"free-riders"``
-    #: / ``"full"``; :class:`~repro.adversary.plan.AdversaryPlan` axes
-    #: beyond this raise ``ConfigError`` (see
-    #: :data:`~repro.sim.policy.ADVERSARY_SUPPORT_LEVELS`).
-    adversary_support: str = "none"
-    #: Bandwidth-class axes the engine honors — ``"none"`` /
-    #: ``"download"`` (per-node download capacities only; tier uploads
-    #: must stay 1) / ``"full"``; a
-    #: :class:`~repro.core.bandwidth.BandwidthClasses` spec beyond this
-    #: raises ``ConfigError`` (see
-    #: :data:`~repro.sim.policy.BANDWIDTH_SUPPORT_LEVELS`).
-    bandwidth_support: str = "none"
+    #: ``"module:Class"`` of the engine; ``Class(n, k, **kwargs)`` returns
+    #: an object with ``run(progress=None) -> RunResult``.
+    engine: str
+    #: ``"module:Class"`` of its :class:`~repro.sim.policy.TickPolicy`.
+    policy: str
 
+    @property
+    def factory(self) -> Callable[..., Any]:
+        """``factory(n, k, **kwargs)`` building an unstarted engine."""
+        return _load(self.engine)
 
-def _randomized(n: int, k: int, **kwargs: Any) -> Any:
-    from ..randomized.engine import RandomizedEngine
+    @property
+    def policy_class(self) -> type:
+        return _load(self.policy)
 
-    return RandomizedEngine(n, k, **kwargs)
+    @property
+    def array_backend(self) -> bool:
+        """Whether the engine accepts ``backend="array"``
+        (:mod:`repro.sim.array`); others reject it with ``ConfigError``."""
+        return self.policy_class.supports_array
 
+    @property
+    def adversary_support(self) -> str:
+        """See :data:`~repro.sim.policy.ADVERSARY_SUPPORT_LEVELS`."""
+        return self.policy_class.adversary_support
 
-def _churn(n: int, k: int, **kwargs: Any) -> Any:
-    from ..randomized.churn import ChurnEngine
-
-    return ChurnEngine(n, k, **kwargs)
-
-
-def _exchange(n: int, k: int, **kwargs: Any) -> Any:
-    from ..randomized.exchange import ExchangeEngine
-
-    return ExchangeEngine(n, k, **kwargs)
-
-
-def _bittorrent(n: int, k: int, **kwargs: Any) -> Any:
-    from ..randomized.bittorrent import BitTorrentEngine
-
-    return BitTorrentEngine(n, k, **kwargs)
-
-
-def _coding(n: int, k: int, **kwargs: Any) -> Any:
-    from ..coding.engine import NetworkCodingEngine
-
-    return NetworkCodingEngine(n, k, **kwargs)
-
-
-def _async(n: int, k: int, **kwargs: Any) -> Any:
-    from ..asynchronous.engine import AsyncKernelRun
-
-    return AsyncKernelRun(n, k, **kwargs)
+    @property
+    def bandwidth_support(self) -> str:
+        """See :data:`~repro.sim.policy.BANDWIDTH_SUPPORT_LEVELS`."""
+        return self.policy_class.bandwidth_support
 
 
 ENGINES: dict[str, EngineSpec] = {
@@ -131,59 +116,44 @@ ENGINES: dict[str, EngineSpec] = {
             summary="randomized uniform-neighbor sampling "
             "(cooperative or credit-limited barter)",
             mechanism="cooperative / credit-limited barter",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
-            factory=_randomized,
-            array_backend=True,
+            engine="repro.randomized.engine:RandomizedEngine",
+            policy="repro.randomized.engine:RandomizedTickPolicy",
         ),
         EngineSpec(
             name="churn",
             summary="randomized sampling with scheduled arrivals/departures",
             mechanism="cooperative / credit-limited barter",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
-            factory=_churn,
-            array_backend=True,
+            engine="repro.randomized.churn:ChurnEngine",
+            policy="repro.randomized.churn:ChurnTickPolicy",
         ),
         EngineSpec(
             name="exchange",
             summary="randomized strict-barter pairwise exchange matching",
             mechanism="strict barter",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="download",
-            factory=_exchange,
-            array_backend=True,
+            engine="repro.randomized.exchange:ExchangeEngine",
+            policy="repro.randomized.exchange:ExchangeTickPolicy",
         ),
         EngineSpec(
             name="bittorrent",
             summary="BitTorrent-style tit-for-tat choking",
             mechanism="tit-for-tat (approximate barter)",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
-            factory=_bittorrent,
+            engine="repro.randomized.bittorrent:BitTorrentEngine",
+            policy="repro.randomized.bittorrent:BitTorrentTickPolicy",
         ),
         EngineSpec(
             name="coding",
             summary="GF(2) network coding (random linear combinations)",
             mechanism="cooperative",
-            fault_support="full",
-            adversary_support="free-riders",
-            bandwidth_support="download",
-            factory=_coding,
+            engine="repro.coding.engine:NetworkCodingEngine",
+            policy="repro.coding.engine:CodingTickPolicy",
         ),
         EngineSpec(
             name="async",
             summary="continuous-time asynchronous engine "
             "(kernel-hosted event windows, one tick per unit time)",
             mechanism="cooperative",
-            fault_support="full",
-            adversary_support="full",
-            bandwidth_support="full",
-            factory=_async,
+            engine="repro.asynchronous.engine:AsyncKernelRun",
+            policy="repro.asynchronous.policy:AsyncTickPolicy",
         ),
     )
 }

@@ -1,9 +1,9 @@
 """Campaign integration: AdversaryPlan in the cache fingerprint.
 
 A cached clean-swarm result must never be served for an adversarial
-configuration (or vice versa), so the plan is a dedicated
-:class:`~repro.campaign.factories.EngineRun` field whose repr joins the
-factory fingerprint — exactly like ``backend`` and ``workload``.
+configuration (or vice versa), so the plan joins
+:class:`~repro.campaign.factories.EngineRun`'s ``options``, whose repr
+is the factory fingerprint — exactly like ``backend`` and ``workload``.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ def _scalar_fingerprint(engine_name: str, n: int, k: int, seed: int) -> tuple:
         result.completion_time,
         result.client_completions,
         result.abort,
-        holdings_digest(engine.state.masks),
+        holdings_digest(engine.kernel.state.masks),
     )
 
 
@@ -126,7 +126,7 @@ class TestBatchEngineRunBitIdentity:
             "randomized", 12, 6, rng=seeds[0], keep_log=False, max_ticks=4
         )
         engine.run()
-        assert batch[0].holdings_digest == holdings_digest(engine.state.masks)
+        assert batch[0].holdings_digest == holdings_digest(engine.kernel.state.masks)
         # Different seeds take different paths through the swarm.
         assert batch[0].holdings_digest != batch[1].holdings_digest
 

@@ -213,7 +213,7 @@ class TestResultCache:
 
 
 class TestWorkloadFingerprint:
-    """EngineRun's workload field must reach the cache fingerprint: a
+    """EngineRun's workload option must reach the cache fingerprint: a
     cached closed-batch result must never be served for an open-system
     sweep of the same engine (and vice versa)."""
 

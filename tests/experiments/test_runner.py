@@ -64,6 +64,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["price", "--scale", "gigantic"])
 
+    def test_engines_table_reads_the_policy_classes(self, capsys):
+        from repro.sim.registry import ENGINES
+
+        assert main(["engines"]) == 0
+        header, rule, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[:3] == ["engine", "adversary", "bandwidth"]
+        assert set(rule) == {"-"}
+        assert [row.split()[0] for row in rows] == list(ENGINES)
+        for row in rows:
+            name, adversary, bandwidth = row.split()[:3]
+            policy = ENGINES[name].policy_class
+            assert (adversary, bandwidth) == (
+                policy.adversary_support,
+                policy.bandwidth_support,
+            )
+
 
 class TestSeedFlag:
     def test_seed_overrides_base_seed(self, monkeypatch, capsys):

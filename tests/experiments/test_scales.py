@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import SerialExecutor, configured
 from repro.core.errors import ConfigError
+from repro.experiments.resilience import resilience
 from repro.experiments.scale import SCALES, resolve_scale, sweep_task_counts
 
 
@@ -40,7 +42,7 @@ class TestTaskCounts:
             "fig5": 36,
             "fig6": 28,
             "fig7": 28,
-            "resilience": 36,
+            "resilience": 72,
             "open-system": 72,
             "adversary": 24,
             "heterogeneity": 28,
@@ -54,7 +56,7 @@ class TestTaskCounts:
             "fig5": 96,
             "fig6": 72,
             "fig7": 72,
-            "resilience": 144,
+            "resilience": 288,
             "open-system": 288,
             "adversary": 96,
             "heterogeneity": 88,
@@ -64,3 +66,9 @@ class TestTaskCounts:
         # The xl preset exists for the parallel executor: every figure
         # must fan out over at least 16 workers' worth of tasks.
         assert all(count >= 16 for count in sweep_task_counts("xl").values())
+
+    def test_resilience_count_matches_executed_runs(self):
+        executor = SerialExecutor()
+        with configured(executor=executor):
+            resilience(scale="ci")
+        assert executor.last_stats.executed == sweep_task_counts("ci")["resilience"]

@@ -122,9 +122,9 @@ class TestDepartures:
         # Final frequencies count only survivors (+ the server).
         for b in range(4):
             holders = sum(
-                1 for v in range(8) if engine.state.masks[v] >> b & 1
+                1 for v in range(8) if engine.kernel.state.masks[v] >> b & 1
             )
-            assert engine.state.freq[b] == holders
+            assert engine.kernel.state.freq[b] == holders
 
     def test_mass_departure_still_completes(self):
         departures = {c: 6 for c in range(8, 16)}
@@ -231,5 +231,5 @@ class TestStallTickDepartures:
         assert r.deadlocked
         # The verdict comes at-or-after the arrival tick, not during the
         # pre-arrival stall (ticks 3-5 are also zero-attempt).
-        assert engine.tick >= 6
+        assert engine.kernel.tick >= 6
         assert r.log.last_tick <= 2  # no transfers ever reach client 2

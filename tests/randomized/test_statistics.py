@@ -25,8 +25,8 @@ def one_tick_destinations(n: int, seeds: range, prepare) -> Counter:
             n, 2, rng=seed, model=BandwidthModel.unbounded()
         )
         prepare(engine)
-        engine._run_tick()
-        server_sends = [t for t in engine.log if t.src == 0]
+        engine.kernel.step()
+        server_sends = [t for t in engine.kernel.log if t.src == 0]
         assert len(server_sends) == 1
         counts[server_sends[0].dst] += 1
     return counts
@@ -47,9 +47,9 @@ class TestSelectionUniformity:
 
         def prepare(engine):
             for c in (1, 2):
-                engine.state.receive(c, 0)
-                engine.state.receive(c, 1)
-                engine._pool_remove(c)
+                engine.kernel.state.receive(c, 0)
+                engine.kernel.state.receive(c, 1)
+                engine.kernel._pool_remove(c)
 
         counts = one_tick_destinations(n, range(3000), prepare)
         assert counts[1] == counts[2] == 0
@@ -76,12 +76,12 @@ class TestSelectionUniformity:
                 n, 2, rng=seed, model=BandwidthModel.unbounded()
             )
             for c in range(1, n - 1):
-                engine.state.receive(c, 0)
-                engine.state.receive(c, 1)
-                engine._pool_remove(c)
-            engine._run_tick()
-            assert len(engine.log) >= 1
-            assert all(t.dst == n - 1 for t in engine.log)
+                engine.kernel.state.receive(c, 0)
+                engine.kernel.state.receive(c, 1)
+                engine.kernel._pool_remove(c)
+            engine.kernel.step()
+            assert len(engine.kernel.log) >= 1
+            assert all(t.dst == n - 1 for t in engine.kernel.log)
 
 
 class TestRunToRunVariance:

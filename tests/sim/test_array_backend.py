@@ -269,7 +269,7 @@ def test_randomized_run_parity_loop_vs_array(keep_log):
     r_loop = loop.run()
     r_arr = arr.run()
     assert r_arr.completion_time == r_loop.completion_time
-    assert arr.state.masks == loop.state.masks
+    assert arr.kernel.state.masks == loop.kernel.state.masks
     assert arr.kernel.uploads_per_tick == loop.kernel.uploads_per_tick
     assert arr.kernel.rng.random() == loop.kernel.rng.random()
     if keep_log:

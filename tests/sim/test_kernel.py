@@ -3,16 +3,12 @@
 The engine suites exercise the kernel through real policies; these tests
 pin the kernel's own contract with minimal synthetic policies: the
 ``attempt`` primitive, the verdict ladder (completion / conclusive
-deadlock / stall / max-ticks / policy abort), fault-support validation,
-and the incomplete-pool bookkeeping the complete-graph fast path rests
-on.
+deadlock / stall / max-ticks / policy abort), and the incomplete-pool
+bookkeeping the complete-graph fast path rests on.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.errors import ConfigError
 from repro.core.model import SERVER
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.sim import TickKernel, TickPolicy, default_max_ticks
@@ -126,25 +122,6 @@ def test_null_plan_is_normalized_away() -> None:
     assert nulled.meta["abort"] is None
     assert "faults" not in nulled.meta
     assert list(nulled.log) == list(plain.log)
-
-
-def test_fault_support_none_rejects_any_plan() -> None:
-    class NoFaults(ServerSprayPolicy):
-        fault_support = "none"
-
-    with pytest.raises(ConfigError, match="does not support fault injection"):
-        TickKernel(4, 3, NoFaults(), faults=FaultPlan(loss_rate=0.1))
-
-
-def test_fault_support_links_rejects_crashes_only() -> None:
-    class LinksOnly(ServerSprayPolicy):
-        fault_support = "links"
-
-    with pytest.raises(ConfigError, match="crash"):
-        TickKernel(4, 3, LinksOnly(), faults=FaultPlan(crash_rate=0.1))
-    # Loss-only plans pass the same gate.
-    kernel = TickKernel(4, 3, LinksOnly(), rng=2, faults=FaultPlan(loss_rate=0.3))
-    assert kernel.faults is not None
 
 
 def test_progress_callback_reports_each_tick() -> None:

@@ -56,7 +56,7 @@ def test_replicas_bit_identical_to_scalar_runs():
                 result.log._transfers == batch.results[i].log._transfers
             ), f"replica {i} diverges from the {backend} scalar run"
             assert np.array_equal(
-                batch.ownership[i], _masks_as_bool(scalar.state.masks, K)
+                batch.ownership[i], _masks_as_bool(scalar.kernel.state.masks, K)
             )
 
 

@@ -148,13 +148,8 @@ def test_loss_plan_accepted_everywhere(name: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_crash_plan_honored_or_rejected(name: str) -> None:
-    """``fault_support`` honesty: full-support engines run crash plans,
-    the rest must refuse loudly instead of silently dropping the plan."""
+    """Every engine carries the full fault model, crash/rejoin included."""
     n, k, kwargs = _case(name)
     plan = FaultPlan(crash_rate=0.01, rejoin_delay=3, rejoin_retention=0.5)
-    if ENGINES[name].fault_support == "full":
-        result = run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
-        assert isinstance(result, RunResult)
-    else:
-        with pytest.raises(ConfigError):
-            run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
+    result = run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
+    assert isinstance(result, RunResult)
