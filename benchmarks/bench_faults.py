@@ -144,8 +144,10 @@ def test_armed_inert_overhead_under_15_percent():
 # Same contract as above, per engine: arming the injector without any
 # realisable fault must stay under 15% per-tick overhead now that all
 # three carry the full fault model. Smaller sizes than the randomized
-# engine — bittorrent's rechoke and coding's GF(2) inserts dominate at
-# 128/64 and would drown the injector term being measured.
+# engine: each engine's per-tick policy work (bittorrent's rechoke,
+# coding's span tests over every receiver, async's idle retries) grows
+# faster with n than the injector's per-attempt judging, so at 128/64 it
+# would drown the injector term being measured.
 
 _GRADUATED = {
     "bittorrent": lambda faults=None: bittorrent_run(

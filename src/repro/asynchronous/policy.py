@@ -75,6 +75,12 @@ class AsyncTickPolicy(TickPolicy):
     ``up``, ``rng``, ``k``, ``transfers``, ``downlink_free``,
     ``useful_mask``, ``has_block``, ``incoming``, ``incomplete_nodes``),
     so :mod:`repro.asynchronous.strategies` runs unmodified.
+
+    Two structures make the destination search cheap: ``inflight[v]`` is
+    the mask of blocks in flight toward ``v``, and ``free_downlinks`` the
+    set of nodes with a free downlink slot (absent nodes included; pair
+    it with ``kernel.absent``). :meth:`covered_mask` folds them into one
+    mask per retry round; see there for the contract.
     """
 
     name = "async"
@@ -117,8 +123,12 @@ class AsyncTickPolicy(TickPolicy):
         self._full = (1 << kernel.k) - 1
         self._downlink_busy = [0] * n
         self._uplink_busy = [False] * n
-        # Blocks currently in flight toward each node (no duplicates).
-        self._inbound: set[tuple[int, int]] = set()
+        #: Per-node mask of blocks currently in flight toward the node.
+        self.inflight = [0] * n
+        #: Nodes with a downlink slot left (``downlink_free`` minus the
+        #: absence check).
+        self.free_downlinks: set[int] = set(range(n))
+        self._covered: int | None = None
         self._events: list[tuple[float, int, AsyncTransfer]] = []
         self._event_seq = 0
         self._idle: set[int] = set()
@@ -143,24 +153,43 @@ class AsyncTickPolicy(TickPolicy):
 
     def downlink_free(self, node: int) -> bool:
         """Whether ``node`` can accept one more incoming transfer now."""
-        return (
-            self._downlink_busy[node] < self.parallel_downloads
-            and node not in self.kernel.absent
-        )
+        return node in self.free_downlinks and node not in self.kernel.absent
 
     def incoming(self, node: int, block: int) -> bool:
         """Whether ``block`` is already in flight toward ``node``."""
-        return (node, block) in self._inbound
+        return bool(self.inflight[node] >> block & 1)
 
     def useful_mask(self, src: int, dst: int) -> int:
         """Blocks ``src`` holds that ``dst`` neither holds nor is receiving."""
         masks = self.kernel.state.masks
-        mask = masks[src] & ~masks[dst]
-        if mask:
-            for block in list(_iter_bits(mask)):
-                if (dst, block) in self._inbound:
-                    mask &= ~(1 << block)
-        return mask
+        return masks[src] & ~(masks[dst] | self.inflight[dst])
+
+    def covered_mask(self) -> int:
+        """Blocks no present incomplete client with a free downlink
+        slot can take: the AND, over those clients ``d``, of
+        ``masks[d] | inflight[d]`` (all ones when there are none).
+
+        A source ``x`` therefore has a complete-graph receiver only if
+        ``masks[x] & ~covered_mask()`` is non-zero. The mask is computed
+        once per retry round and reused for the round: inside a round
+        only transfer starts happen, and a start only fills a slot or
+        adds an in-flight block, which can only grow the true mask, so
+        the cached one never hides a receiver.
+        """
+        covered = self._covered
+        if covered is None:
+            covered = self._full
+            masks = self.kernel.state.masks
+            inflight = self.inflight
+            free = self.free_downlinks
+            absent = self.kernel.absent
+            for d in self.kernel.incomplete_pool:
+                if d in free and d not in absent:
+                    covered &= masks[d] | inflight[d]
+                    if not covered:
+                        break
+            self._covered = covered
+        return covered
 
     @property
     def incomplete_nodes(self):
@@ -197,10 +226,18 @@ class AsyncTickPolicy(TickPolicy):
         transfer = AsyncTransfer(self.now, self.now + duration, src, dst, block)
         self._uplink_busy[src] = True
         self._downlink_busy[dst] += 1
-        self._inbound.add((dst, block))
+        if self._downlink_busy[dst] >= self.parallel_downloads:
+            self.free_downlinks.discard(dst)
+        self.inflight[dst] |= 1 << block
         self._event_seq += 1
         heapq.heappush(self._events, (transfer.end, self._event_seq, transfer))
         return True
+
+    def _release_downlink(self, dst: int, block: int) -> None:
+        """A transfer toward ``dst`` ended or was aborted."""
+        self._downlink_busy[dst] -= 1
+        self.free_downlinks.add(dst)
+        self.inflight[dst] &= ~(1 << block)
 
     def _next_phase_boundary(self) -> float:
         """Earliest *strictly future* time at which any node's link phase
@@ -223,6 +260,7 @@ class AsyncTickPolicy(TickPolicy):
         # the retry order feeds strategy RNG draws, so it must be a
         # function of the set's *content* for checkpoint restore to
         # continue bit-identically.
+        self._covered = None
         started = False
         for node in sorted(self._idle):
             if self._try_start(node):
@@ -233,8 +271,7 @@ class AsyncTickPolicy(TickPolicy):
     def _finish(self, transfer: AsyncTransfer) -> None:
         src, dst, block = transfer.src, transfer.dst, transfer.block
         self._uplink_busy[src] = False
-        self._downlink_busy[dst] -= 1
-        self._inbound.discard((dst, block))
+        self._release_downlink(dst, block)
         if self.kernel.attempt(src, dst, block):
             self.transfers.append(transfer)
             if dst != SERVER and self.kernel.state.masks[dst] == self._full:
@@ -254,6 +291,7 @@ class AsyncTickPolicy(TickPolicy):
         # already guarantees.
         if not self._started:
             self._started = True
+            self._covered = None
             for v in range(self.kernel.n):
                 if not self._try_start(v):
                     self._idle.add(v)
@@ -326,7 +364,11 @@ class AsyncTickPolicy(TickPolicy):
             "aborted_in_flight": self.aborted_in_flight,
             "downlink_busy": list(self._downlink_busy),
             "uplink_busy": list(self._uplink_busy),
-            "inbound": sorted([d, b] for d, b in self._inbound),
+            "inbound": [
+                [d, b]
+                for d, mask in enumerate(self.inflight)
+                for b in _iter_bits(mask)
+            ],
             "events": [
                 [end, seq, list(transfer)]
                 for end, seq, transfer in self._events
@@ -352,7 +394,15 @@ class AsyncTickPolicy(TickPolicy):
         self.aborted_in_flight = state["aborted_in_flight"]
         self._downlink_busy = [int(v) for v in state["downlink_busy"]]
         self._uplink_busy = [bool(v) for v in state["uplink_busy"]]
-        self._inbound = {(int(d), int(b)) for d, b in state["inbound"]}
+        self.inflight = [0] * len(self._downlink_busy)
+        for d, b in state["inbound"]:
+            self.inflight[int(d)] |= 1 << int(b)
+        self.free_downlinks = {
+            v
+            for v, busy in enumerate(self._downlink_busy)
+            if busy < self.parallel_downloads
+        }
+        self._covered = None
         # Verbatim — already a valid heap; re-heapifying could reorder
         # equal-priority entries (none exist today, but the invariant is
         # cheap to keep exact).
@@ -387,8 +437,7 @@ class AsyncTickPolicy(TickPolicy):
                 continue
             self.aborted_in_flight += 1
             if t.src == node:
-                self._downlink_busy[t.dst] -= 1
-                self._inbound.discard((t.dst, t.block))
+                self._release_downlink(t.dst, t.block)
                 self._idle.add(t.dst)
             else:
                 self._uplink_busy[t.src] = False
@@ -398,7 +447,8 @@ class AsyncTickPolicy(TickPolicy):
             self._events = kept
         self._uplink_busy[node] = False
         self._downlink_busy[node] = 0
-        self._inbound = {(d, b) for d, b in self._inbound if d != node}
+        self.free_downlinks.add(node)
+        self.inflight[node] = 0
         self._idle.discard(node)
         self.float_completions.pop(node, None)
 

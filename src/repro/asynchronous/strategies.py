@@ -109,36 +109,66 @@ class AsyncHypercube:
 
 
 class _AsyncRandomBase:
-    """Shared neighbor selection for the randomized async strategies."""
+    """Shared neighbor selection for the randomized async strategies.
+
+    On the complete graph the receivers are the incomplete clients, in
+    kernel pool order. Two exact shortcuts keep the scan cheap without
+    changing the candidate list or the RNG draw: a source whose blocks
+    all lie in the round's ``covered_mask`` has no receiver (no scan, no
+    draw), and the scan walks the smaller of the free-downlink set and
+    the pool, re-sorted into pool order.
+    """
 
     def __init__(self, overlay: Graph | None = None) -> None:
         self.overlay = overlay
 
-    def _neighbors(self, engine, src: int):
-        if self.overlay is None or isinstance(self.overlay, CompleteGraph):
-            # Incomplete clients are the only possible receivers.
-            return [v for v in engine.incomplete_nodes if v != src]
-        return [v for v in self.overlay.neighbors(src) if v != src]
-
-    def _pick(self, engine, src: int) -> tuple[int, int] | None:
-        rng = engine.rng
+    def _candidates(self, engine, src: int) -> list[tuple[int, int]]:
+        """``(dst, useful_mask)`` for every eligible receiver, in the
+        order of the overlay's neighbor list or the kernel pool."""
+        if self.overlay is not None and not isinstance(self.overlay, CompleteGraph):
+            candidates = []
+            for dst in self.overlay.neighbors(src):
+                if dst == src or dst == SERVER or not engine.downlink_free(dst):
+                    continue
+                useful = engine.useful_mask(src, dst)
+                if useful:
+                    candidates.append((dst, useful))
+            return candidates
+        kernel = engine.kernel
+        masks = kernel.state.masks
+        have = masks[src]
+        if not have & ~engine.covered_mask():
+            return []
+        pool = kernel.incomplete_pool
+        position = kernel.pool_positions
+        free = engine.free_downlinks
+        by_free = len(free) < len(pool)
+        inflight = engine.inflight
+        absent = kernel.absent
         candidates = []
-        for dst in self._neighbors(engine, src):
-            if dst == SERVER or not engine.downlink_free(dst):
+        for dst in free if by_free else pool:
+            if (
+                dst == src
+                or dst in absent
+                or (dst not in position if by_free else dst not in free)
+            ):
                 continue
-            useful = engine.useful_mask(src, dst)
+            useful = have & ~(masks[dst] | inflight[dst])
             if useful:
                 candidates.append((dst, useful))
+        if by_free:
+            candidates.sort(key=lambda c: position[c[0]])
+        return candidates
+
+    def next_transfer(self, engine, src: int) -> tuple[int, int] | None:
+        candidates = self._candidates(engine, src)
         if not candidates:
             return None
-        dst, useful = candidates[rng.randrange(len(candidates))]
+        dst, useful = candidates[engine.rng.randrange(len(candidates))]
         return dst, self._block(engine, useful)
 
     def _block(self, engine, useful: int) -> int:
         raise NotImplementedError
-
-    def next_transfer(self, engine, src: int) -> tuple[int, int] | None:
-        return self._pick(engine, src)
 
 
 class AsyncRandom(_AsyncRandomBase):

@@ -93,16 +93,14 @@ class CodingTickPolicy(TickPolicy):
 
     def run_tick(self, snapshot: list[int]) -> None:
         # ``snapshot`` (block masks) is meaningless here; senders use
-        # their start-of-tick *span*: snapshot ranks by copying basis rows
-        # lazily — a row received this tick must not be re-broadcast until
-        # next tick (causality).
+        # their start-of-tick *span*: a row received this tick must not be
+        # re-broadcast until next tick (causality).
         kernel = self.kernel
         rng = kernel.rng
-        k = kernel.k
         dl_left = kernel.download_ledger
         attempt = kernel.attempt
         bases = self.bases
-        snapshots = [list(b.basis_rows()) for b in bases]
+        snapshots = [b.canonical_copy() for b in bases]
 
         server_ok = kernel.server_available()
         riders = (
@@ -113,7 +111,7 @@ class CodingTickPolicy(TickPolicy):
         uploaders = [
             v
             for v in range(kernel.n)
-            if snapshots[v]
+            if snapshots[v].rank
             and (v != SERVER or server_ok)
             and v not in riders
         ]
@@ -121,7 +119,7 @@ class CodingTickPolicy(TickPolicy):
         server_rounds = kernel.model.server_upload
         for src in uploaders:
             rounds = server_rounds if src == SERVER else 1
-            src_basis = Gf2Basis(k, snapshots[src])
+            src_basis = snapshots[src]
             for _ in range(rounds):
                 dst = self._pick_destination_snapshot(src, src_basis, dl_left)
                 if dst is None:
@@ -161,19 +159,21 @@ class CodingTickPolicy(TickPolicy):
     ) -> int | None:
         kernel = self.kernel
         bases = self.bases
+        full = (1 << kernel.k) - 1
         if isinstance(kernel.graph, CompleteGraph):
-            pool = [v for v in range(kernel.n) if not bases[v].is_full()]
+            scan = range(kernel.n)
         else:
-            pool = list(kernel.graph.neighbors(src))
+            scan = kernel.graph.neighbors(src)
         absent = kernel.absent
+        innovative = src_basis.has_innovative_for
         pool = [
             v
-            for v in pool
+            for v in scan
             if v != src
             and v not in absent
             and (dl_left is None or dl_left[v] > 0)
-            and not bases[v].is_full()
-            and src_basis.has_innovative_for(bases[v])
+            and bases[v].pivots != full  # not yet decodable
+            and innovative(bases[v])
         ]
         if not pool:
             return None

@@ -147,7 +147,8 @@ def verify_coding_log(
             _, kind, node, payload = events[next_event]
             apply_event(kind, node, payload)
             next_event += 1
-        snapshots = [Gf2Basis(k, b.basis_rows()) for b in bases]
+        # No delivered vector is inserted until every check of the tick
+        # has run, so ``bases`` is the tick-start span throughout.
         uploads: Counter[int] = Counter()
         downloads: Counter[int] = Counter()
         delivered_now: list[tuple[int, int]] = []
@@ -185,7 +186,7 @@ def verify_coding_log(
                     tick=tick,
                     rule="overlay",
                 )
-            if not snapshots[t.src].contains(vec):
+            if not bases[t.src].contains(vec):
                 raise ScheduleViolation(
                     f"node {t.src} sends a vector outside its span at "
                     f"tick start",
@@ -207,10 +208,11 @@ def verify_coding_log(
                 )
         if not model.unbounded_download:
             for node, count in downloads.items():
-                if count > model.download:
+                cap = model.download_capacity(node)
+                if cap is not None and count > cap:
                     raise ScheduleViolation(
                         f"node {node} downloads {count} vectors in one "
-                        f"tick (capacity {model.download})",
+                        f"tick (capacity {cap})",
                         tick=tick,
                         rule="download-capacity",
                     )

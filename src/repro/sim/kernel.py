@@ -521,6 +521,12 @@ class TickKernel:
         """Clients still missing blocks (live list; do not mutate)."""
         return self._pool
 
+    @property
+    def pool_positions(self) -> dict[int, int]:
+        """Node -> index in :attr:`incomplete_pool` (live mapping; do
+        not mutate). Positions move as the pool shrinks."""
+        return self._pool_pos
+
     def _pool_add(self, v: int) -> None:
         if v not in self._pool_pos:
             self._pool_pos[v] = len(self._pool)

@@ -135,3 +135,75 @@ class TestRandomMembers:
             assert b.rank == rank
         else:
             assert b.rank == 0
+
+
+def _span(rows) -> set[int]:
+    """Every member of the span, by brute-force subset enumeration."""
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return span
+
+
+@st.composite
+def _bases(draw, k: int) -> Gf2Basis:
+    """A basis built through one of the paths the engine uses: repeated
+    ``insert``, ``full``, ``restore_rows`` of captured rows, or a
+    crash-style rebuild from a random subset of the rows."""
+    kind = draw(st.sampled_from(["insert", "full", "restore", "crash"]))
+    if kind == "full":
+        return Gf2Basis.full(k)
+    vectors = draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << k) - 1), max_size=8)
+    )
+    basis = Gf2Basis(k, vectors)
+    if kind == "restore":
+        return Gf2Basis.restore_rows(k, basis.capture_rows())
+    if kind == "crash":
+        rows = basis.basis_rows()
+        keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        return Gf2Basis(k, [r for r, kept in zip(rows, keep) if kept])
+    return basis
+
+
+@st.composite
+def _basis_pairs(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    return draw(_bases(k)), draw(_bases(k))
+
+
+class TestInnovationShortcuts:
+    @given(_basis_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_has_innovative_for_matches_span_enumeration(self, pair):
+        src, dst = pair
+        expected = not _span(src.basis_rows()) <= _span(dst.basis_rows())
+        assert src.has_innovative_for(dst) == expected
+        assert src.is_subspace_of(dst) == (not expected)
+
+    @given(_basis_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_pivots_are_row_pivots_and_span_leading_bits(self, pair):
+        for basis in pair:
+            rows = basis.basis_rows()
+            row_pivots = 0
+            for row in rows:
+                row_pivots |= 1 << (row.bit_length() - 1)
+            assert basis.pivots == row_pivots
+            leading = 0
+            for member in _span(rows) - {0}:
+                leading |= 1 << (member.bit_length() - 1)
+            assert basis.pivots == leading
+
+    @given(_basis_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_copy_keeps_span_and_orders_rows(self, pair):
+        src, _ = pair
+        copy = src.canonical_copy()
+        assert copy is not src
+        assert copy.pivots == src.pivots
+        assert [row for _, row in copy.capture_rows()] == src.basis_rows()
+        if src.rank < src.k:
+            # The copy is independent of its origin.
+            src.insert(next(v for v in range(1, 1 << src.k) if not src.contains(v)))
+            assert copy.rank == src.rank - 1
