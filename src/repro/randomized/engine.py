@@ -98,22 +98,12 @@ class RandomizedTickPolicy(TickPolicy):
     def run_tick(self, snapshot: list[int]) -> None:
         kernel = self.kernel
         backend = kernel.array
-        # An armed adversary routes every attempt through the kernel's
-        # judged path (pollution/lie verdicts, strike bookkeeping), which
-        # the vectorized tick inlines away — fall through to the scalar
-        # path, which stays correct (and array-mirrored) under the
-        # backend's per-attempt machinery.
-        if (
-            backend is not None
-            and kernel.adversary is None
-            and isinstance(kernel.graph, CompleteGraph)
-        ):
-            # Complete-graph ticks vectorize on the array backend; sparse
-            # overlays fall through to the scalar path below (which still
-            # benefits from the backend's deferred logging via
-            # ``kernel.attempt``). Both make the same RNG draws.
+        if backend is not None and self._vectorizable():
             self._run_tick_array(snapshot, backend)
             return
+        # Every other tick (either backend) takes the scalar path, whose
+        # attempts all run through ``kernel.attempt``; on the array
+        # backend that keeps the word mirror and deferred log in step.
         state = kernel.state
         masks = state.masks
         rng = kernel.rng
@@ -195,8 +185,48 @@ class RandomizedTickPolicy(TickPolicy):
                 block = choose(useful, kernel, src, dst)
                 attempt(src, dst, block)
 
+    def _vectorizable(self) -> bool:
+        """Whether this tick takes :meth:`_run_tick_array`.
+
+        Read before the tick's first RNG draw; the reseed test reads only
+        ``state.freq``, which no draw changes.
+        """
+        kernel = self.kernel
+        faults = kernel.faults
+        model = kernel.model
+        return (
+            kernel.adversary is None
+            and isinstance(kernel.graph, CompleteGraph)
+            and (faults is None or not faults.judges_links)
+            and kernel.credit is None
+            and not self._gated
+            and kernel.download_ledger is not None
+            and getattr(model, "is_uniform", True)
+            and model.download == 1
+            and not (
+                faults is not None
+                and kernel.recovery.reseed
+                and 1 in kernel.state.freq
+            )
+        )
+
     def _run_tick_array(self, snapshot: list[int], backend) -> None:
-        """Complete-graph tick on the array backend.
+        """Vectorized tick of the paper's cooperative model on the array
+        backend (Sections 2.4 and 3.2.3).
+
+        :meth:`_vectorizable` admits a tick only when all of these hold:
+        complete graph, no adversary, no link-fault judge, no credit
+        ledger, an ungated mechanism, a uniform bandwidth model with a
+        download ledger and ``download == 1``, and no block made
+        server-only by crashes under reseeding recovery. Every other
+        tick takes the scalar path, so ``kernel.attempt`` stays the only
+        place that judges, charges credit and logs failures.
+
+        Under that predicate no attempt can fail and every recipient
+        leaves the receiver pool the instant it receives (capacity 1),
+        so pool members' live masks equal their snapshot all tick. That
+        licenses inlining the delivery and deferring the word-mirror and
+        frequency updates to one batch at tick end.
 
         Byte-identity contract: every ``kernel.rng`` draw the scalar path
         makes is replicated here, in order, with the same bounds —
@@ -205,22 +235,19 @@ class RandomizedTickPolicy(TickPolicy):
         loop, which is exactly CPython's ``_randbelow``), the fallback
         choice among eligible candidates, and the block policy's own
         draws. Only the *deterministic* work between draws is vectorized:
-        uploader/interest discovery over the packed snapshot words, the
-        fallback eligibility scan in one masked expression instead of a
-        listcomp, deliveries applied inline with deferred bulk logging.
-        Receiver-pool layout feeds the uniform draws, so the array pool's
-        activation order and swap-removals mirror the scalar pool's.
+        uploader/interest discovery over the packed snapshot words and
+        the fallback eligibility scan. Receiver-pool layout feeds the
+        uniform draws, so the array pool's activation order and
+        swap-removals mirror the scalar pool's.
         """
         kernel = self.kernel
         state = kernel.state
         masks = state.masks
-        freq = state.freq
         incomplete = state._incomplete
         rng = kernel.rng
         getrandbits = rng.getrandbits
         dl_left = kernel.download_ledger
         arr = backend.state
-        words = arr.words
         snap_words = arr.snap_words
 
         backend.activate_pool(kernel.incomplete_pool)
@@ -250,323 +277,176 @@ class RandomizedTickPolicy(TickPolicy):
                 r = getrandbits(nb)
             uploaders[i], uploaders[r] = uploaders[r], uploaders[i]
 
-        reseed_rare = 0
-        if kernel.faults is not None and kernel.recovery.reseed:
-            for b in np.flatnonzero(freq == 1).tolist():
-                reseed_rare |= 1 << b
-
-        # Interest screen: src can interest someone iff it holds a block
-        # not common to every pool member at tick start (the scalar
-        # path's `have & ~common` test, batched for all nodes at once).
         pool_arr = backend.pool
         size = backend.size
         if size == 0:
-            can = None
-        else:
-            common_words = np.bitwise_and.reduce(
-                snap_words[pool_arr[:size]], axis=0
-            )
-            can = (snap_words & ~common_words).any(axis=1).tolist()
+            return
+        # Interest screen: src can interest someone iff it holds a block
+        # not common to every pool member at tick start (the scalar
+        # path's `have & ~common` test, batched for all nodes at once).
+        common_words = np.bitwise_and.reduce(snap_words[pool_arr[:size]], axis=0)
+        can = (snap_words & ~common_words).any(axis=1).tolist()
 
         choose = self.block_policy.choose
-        gated = self._gated
-        allows = self.mechanism.allows
-        judge = kernel._judge
-        credit_sends = kernel._credit_sends if kernel.credit is not None else None
-        rec_d = kernel._log_delivery
-        rec_f = kernel._log_failure
-        model = kernel.model
-        server_rounds = model.server_upload
-        up_rounds = (
-            None
-            if getattr(model, "is_uniform", True)
-            else [model.upload_capacity(v) for v in range(kernel.n)]
-        )
+        random_block = type(self.block_policy) is RandomPolicy
+        server_rounds = kernel.model.server_upload
         full = kernel._full
         tick = kernel.tick
-        pool_item = pool_arr.item
-        pool_remove = backend.pool_remove
         kernel_pool_remove = kernel._pool_remove
-        wbit = _WBIT
-        delivered = 0
-        failed = 0
-
-        # Fast lane for the figure-sweep configuration: no fault judging,
-        # no credit ledger, ungated, no reseed priority, download capacity
-        # exactly 1. Capacity 1 means every recipient leaves the pool the
-        # instant it receives, so pool members' live masks equal their
-        # snapshot all tick — which licenses deferring the word-mirror and
-        # frequency updates to one batch at tick end (nothing reads them
-        # mid-tick), and every delivery evicts unconditionally (no
-        # capacity countdown). Draw-for-draw identical to the general
-        # lane; only bookkeeping is batched.
-        fast = (
-            judge is None
-            and credit_sends is None
-            and not gated
-            and not reseed_rare
-            and dl_left is not None
-            and getattr(kernel.model, "is_uniform", True)
-            and kernel.model.download == 1
-        )
-        if fast and can is not None:
-            random_block = type(self.block_policy) is RandomPolicy
-            log_buf = backend._deliveries if rec_d is not None else None
-            d_buf: list[int] = []
-            b_buf: list[int] = []
-            pos = backend.pos
-            size = backend.size
-            # The pool is worked as a plain list (indexing beats
-            # ndarray.item at this call volume) kept in sync with the
-            # backend's array, which the vectorized fallback reads.
-            pool_l = pool_arr[:size].tolist()
-            # Pool members keep their snapshot masks all tick (capacity
-            # 1), so the inverted snapshot serves every interest test.
-            notm = [~m for m in snapshot]
-            # Lazy per-tick unpacked ownership: has_bits[v, b] says v
-            # held block b at tick start. Capacity 1 keeps pool members'
-            # masks at their snapshot all tick, so one build serves
-            # every fallback; eligibility for a src holding few blocks
-            # is then a gather of that many columns instead of a
-            # packed-row reduction over the whole pool.
-            has_bits = None
-            k_blocks = arr.k
-            for src in uploaders:
-                if not can[src]:
-                    continue
-                have = snapshot[src]
-                rounds = server_rounds if src == SERVER else 1
-                for _ in range(rounds):
-                    if size == 0:
-                        break
-                    iv = 0
-                    nbits = size.bit_length()
-                    for _t in range(
-                        _REJECTION_TRIES if size > _REJECTION_TRIES else size
-                    ):
-                        r = getrandbits(nbits)
-                        while r >= size:
-                            r = getrandbits(nbits)
-                        v = pool_l[r]
-                        if v != src:
-                            iv = have & notm[v]
-                            if iv:
-                                dst = v
-                                break
-                    else:
-                        # Full scan in pool order. A member is eligible
-                        # iff it lacks at least one of src's blocks:
-                        # with few blocks held, AND the per-block
-                        # ownership rows; otherwise reduce the packed
-                        # snapshot rows (identical eligible set and
-                        # draw either way).
-                        cand = pool_arr[:size]
-                        c_have = have.bit_count()
-                        if c_have <= 64:
-                            if has_bits is None:
-                                has_bits = np.unpackbits(
-                                    snap_words.view(np.uint8),
-                                    axis=1,
-                                    bitorder="little",
-                                )[:, :k_blocks]
-                            if c_have == 1:
-                                eligible = (
-                                    has_bits[cand, have.bit_length() - 1]
-                                    == 0
-                                )
-                            else:
-                                held_b = []
-                                m = have
-                                while m:
-                                    held_b.append((m & -m).bit_length() - 1)
-                                    m &= m - 1
-                                eligible = (
-                                    has_bits[np.ix_(cand, held_b)]
-                                    .all(axis=1)
-                                    == 0
-                                )
-                        else:
-                            eligible = (
-                                snap_words[src] & ~snap_words[cand]
-                            ).any(axis=1)
-                        sp = pos[src]
-                        if 0 <= sp < size:
-                            eligible[sp] = False
-                        idx = np.flatnonzero(eligible)
-                        csize = idx.shape[0]
-                        if csize == 0:
-                            break
-                        nbits = csize.bit_length()
-                        r = getrandbits(nbits)
-                        while r >= csize:
-                            r = getrandbits(nbits)
-                        dst = pool_l[idx.item(r)]
-                        iv = have & notm[dst]
-
-                    if random_block:
-                        # Inlined random_set_bit: same single
-                        # randrange(popcount) draw, wrapper-free.
-                        c = iv.bit_count()
-                        if c == 1:
-                            block = iv.bit_length() - 1
-                        else:
-                            nbits = c.bit_length()
-                            r = getrandbits(nbits)
-                            while r >= c:
-                                r = getrandbits(nbits)
-                            d = c - 1 - r
-                            if r <= d:
-                                if r <= 64:
-                                    m = iv
-                                    for _i in range(r):
-                                        m &= m - 1
-                                    block = (m & -m).bit_length() - 1
-                                else:
-                                    block = int(bit_indices(iv)[r])
-                            elif d <= 64:
-                                # Clear the d highest set bits instead
-                                # of walking r low ones.
-                                m = iv
-                                for _i in range(d):
-                                    m ^= 1 << (m.bit_length() - 1)
-                                block = m.bit_length() - 1
-                            else:
-                                block = int(bit_indices(iv)[r])
-                    else:
-                        block = choose(iv, kernel, src, dst)
-
-                    m_new = masks[dst] | (1 << block)
-                    masks[dst] = m_new
-                    d_buf.append(dst)
-                    b_buf.append(block)
-                    if log_buf is not None:
-                        log_buf.append((tick, src, dst, block))
-                    if m_new == full:
-                        incomplete.discard(dst)
-                        kernel_pool_remove(dst)
-                    # Unconditional eviction (capacity 1), inline
-                    # swap-remove on both pool representations.
-                    p = pos[dst]
-                    size -= 1
-                    last = pool_l[size]
-                    if last != dst:
-                        pool_l[p] = last
-                        pool_arr[p] = last
-                        pos[last] = p
-                    pos[dst] = -1
-                    dl_left[dst] = 0
-                    delivered += 1
-
-            backend.size = size
-            if d_buf:
-                arr_d = np.asarray(d_buf, dtype=np.int64)
-                arr_b = np.asarray(b_buf, dtype=np.int64)
-                freq += np.bincount(arr_b, minlength=arr.k)
-                # Each dst receives at most one block per tick here, so
-                # the (row, word) index pairs are unique and a fancy |=
-                # is safe (no lost updates).
-                words[arr_d, arr_b >> 6] |= wbit[arr_b & 63]
-            kernel._tick_delivered += delivered
-            return
-
+        log_buf = backend._deliveries if kernel.keep_log else None
+        d_buf: list[int] = []
+        b_buf: list[int] = []
+        pos = backend.pos
+        # The pool is worked as a plain list (indexing beats
+        # ndarray.item at this call volume) kept in sync with the
+        # backend's array, which the vectorized fallback reads.
+        pool_l = pool_arr[:size].tolist()
+        # Pool members keep their snapshot masks all tick (capacity
+        # 1), so the inverted snapshot serves every interest test.
+        notm = [~m for m in snapshot]
+        # Lazy per-tick unpacked ownership: has_bits[v, b] says v
+        # held block b at tick start. Capacity 1 keeps pool members'
+        # masks at their snapshot all tick, so one build serves
+        # every fallback; eligibility for a src holding few blocks
+        # is then a gather of that many columns instead of a
+        # packed-row reduction over the whole pool.
+        has_bits = None
+        k_blocks = arr.k
         for src in uploaders:
-            if can is None or not can[src]:
+            if not can[src]:
                 continue
             have = snapshot[src]
-            have_row = snap_words[src]
-            is_server = src == SERVER
-            if is_server:
-                rounds = server_rounds
-            else:
-                rounds = 1 if up_rounds is None else up_rounds[src]
+            rounds = server_rounds if src == SERVER else 1
             for _ in range(rounds):
-                size = backend.size
                 if size == 0:
                     break
-                # Bounded rejection sampling over the live pool. Pool
-                # members are incomplete, present, with capacity left
-                # (maintained below), so only self- and interest-checks
-                # (and the barter gate) remain from the scalar predicate.
-                dst = -1
                 iv = 0
+                nbits = size.bit_length()
                 for _t in range(
                     _REJECTION_TRIES if size > _REJECTION_TRIES else size
                 ):
-                    nbits = size.bit_length()
                     r = getrandbits(nbits)
                     while r >= size:
                         r = getrandbits(nbits)
-                    v = pool_item(r)
+                    v = pool_l[r]
                     if v != src:
-                        iv = have & ~masks[v]
-                        if iv and (not gated or allows(src, v)):
+                        iv = have & notm[v]
+                        if iv:
                             dst = v
                             break
-                if dst < 0:
-                    # Full scan, vectorized: interest for every pool
-                    # member in one masked expression, preserving pool
-                    # order (the scalar fallback's candidate order).
+                else:
+                    # Full scan in pool order. A member is eligible
+                    # iff it lacks at least one of src's blocks:
+                    # with few blocks held, AND the per-block
+                    # ownership rows; otherwise reduce the packed
+                    # snapshot rows (identical eligible set and
+                    # draw either way).
                     cand = pool_arr[:size]
-                    eligible = (have_row & ~words[cand]).any(axis=1)
-                    eligible &= cand != src
-                    idx = np.flatnonzero(eligible)
-                    if gated:
-                        sel = [c for c in cand[idx].tolist() if allows(src, c)]
-                        csize = len(sel)
+                    c_have = have.bit_count()
+                    if c_have <= 64:
+                        if has_bits is None:
+                            has_bits = np.unpackbits(
+                                snap_words.view(np.uint8),
+                                axis=1,
+                                bitorder="little",
+                            )[:, :k_blocks]
+                        if c_have == 1:
+                            eligible = (
+                                has_bits[cand, have.bit_length() - 1]
+                                == 0
+                            )
+                        else:
+                            held_b = []
+                            m = have
+                            while m:
+                                held_b.append((m & -m).bit_length() - 1)
+                                m &= m - 1
+                            eligible = (
+                                has_bits[np.ix_(cand, held_b)]
+                                .all(axis=1)
+                                == 0
+                            )
                     else:
-                        sel = None
-                        csize = idx.shape[0]
+                        eligible = (
+                            snap_words[src] & ~snap_words[cand]
+                        ).any(axis=1)
+                    sp = pos[src]
+                    if 0 <= sp < size:
+                        eligible[sp] = False
+                    idx = np.flatnonzero(eligible)
+                    csize = idx.shape[0]
                     if csize == 0:
                         break
                     nbits = csize.bit_length()
                     r = getrandbits(nbits)
                     while r >= csize:
                         r = getrandbits(nbits)
-                    dst = sel[r] if sel is not None else pool_item(idx.item(r))
-                    iv = have & ~masks[dst]
+                    dst = pool_l[idx.item(r)]
+                    iv = have & notm[dst]
 
-                useful = iv
-                if reseed_rare and is_server and useful & reseed_rare:
-                    useful &= reseed_rare
-                block = choose(useful, kernel, src, dst)
+                if random_block:
+                    # Inlined random_set_bit: same single
+                    # randrange(popcount) draw, wrapper-free.
+                    c = iv.bit_count()
+                    if c == 1:
+                        block = iv.bit_length() - 1
+                    else:
+                        nbits = c.bit_length()
+                        r = getrandbits(nbits)
+                        while r >= c:
+                            r = getrandbits(nbits)
+                        d = c - 1 - r
+                        if r <= d:
+                            if r <= 64:
+                                m = iv
+                                for _i in range(r):
+                                    m &= m - 1
+                                block = (m & -m).bit_length() - 1
+                            else:
+                                block = int(bit_indices(iv)[r])
+                        elif d <= 64:
+                            # Clear the d highest set bits instead
+                            # of walking r low ones.
+                            m = iv
+                            for _i in range(d):
+                                m ^= 1 << (m.bit_length() - 1)
+                            block = m.bit_length() - 1
+                        else:
+                            block = int(bit_indices(iv)[r])
+                else:
+                    block = choose(iv, kernel, src, dst)
 
-                # Inline kernel.attempt: judge -> deliver -> charge ->
-                # log, against the backend pool instead of the kernel's.
-                if judge is not None and judge(tick, src, dst):
-                    if dl_left is not None:
-                        left = dl_left[dst] - 1
-                        dl_left[dst] = left
-                        if left <= 0:
-                            pool_remove(dst)
-                    if credit_sends is not None:
-                        credit_sends.append((src, dst))
-                    if rec_f is not None:
-                        rec_f(tick, src, dst, block)
-                    failed += 1
-                    continue
-                # `block` was chosen from the live useful set, so the
-                # delivery is never redundant.
                 m_new = masks[dst] | (1 << block)
                 masks[dst] = m_new
-                freq[block] += 1
-                words[dst, block >> 6] |= wbit[block & 63]
+                d_buf.append(dst)
+                b_buf.append(block)
+                if log_buf is not None:
+                    log_buf.append((tick, src, dst, block))
                 if m_new == full:
                     incomplete.discard(dst)
                     kernel_pool_remove(dst)
-                    pool_remove(dst)
-                if dl_left is not None:
-                    left = dl_left[dst] - 1
-                    dl_left[dst] = left
-                    if left <= 0:
-                        pool_remove(dst)
-                if credit_sends is not None:
-                    credit_sends.append((src, dst))
-                if rec_d is not None:
-                    rec_d(tick, src, dst, block)
-                delivered += 1
+                # Unconditional eviction (capacity 1), inline
+                # swap-remove on both pool representations.
+                p = pos[dst]
+                size -= 1
+                last = pool_l[size]
+                if last != dst:
+                    pool_l[p] = last
+                    pool_arr[p] = last
+                    pos[last] = p
+                pos[dst] = -1
+                dl_left[dst] = 0
 
-        kernel._tick_delivered += delivered
-        kernel._tick_failed += failed
+        backend.size = size
+        if d_buf:
+            arr_d = np.asarray(d_buf, dtype=np.int64)
+            arr_b = np.asarray(b_buf, dtype=np.int64)
+            state.freq += np.bincount(arr_b, minlength=k_blocks)
+            # Each dst receives at most one block per tick here, so
+            # the (row, word) index pairs are unique and a fancy |=
+            # is safe (no lost updates).
+            arr.words[arr_d, arr_b >> 6] |= _WBIT[arr_b & 63]
+        kernel._tick_delivered += len(d_buf)
 
     def _pick_destination(
         self,
@@ -713,7 +593,8 @@ class RandomizedEngine:
     backend:
         ``"loop"``/``None`` (default) or ``"array"`` — forwarded to
         :class:`~repro.sim.kernel.TickKernel`; the array backend runs
-        complete-graph ticks vectorized over packed ownership words with
+        clean cooperative complete-graph ticks vectorized over packed
+        ownership words, every other tick on the scalar path, with
         byte-identical results (see :mod:`repro.sim.array`).
     adversary:
         Optional :class:`~repro.adversary.plan.AdversaryPlan`. A null

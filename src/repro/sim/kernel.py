@@ -458,8 +458,8 @@ class TickKernel:
             if not policy.supports_array:
                 raise ConfigError(
                     f"the {policy.name} engine does not support the array "
-                    f"backend (no batched attempt path); use "
-                    f"backend='loop' or pick an array-capable engine"
+                    f"backend; use backend='loop' or pick an array-capable "
+                    f"engine"
                 )
             self.array = ArrayBackend(self, arr_state)
         if not keep_log:
@@ -718,7 +718,8 @@ class TickKernel:
             self._apply_fault_events(inj)
         snapshot = self.state.begin_tick()
         if self.array is not None:
-            self.array.begin_tick()
+            # Snapshot the word matrix at the same instant as the bigints.
+            self.array.state.begin_tick()
         caps = self._dl_caps
         self._dl_left = list(caps) if caps is not None else None
         self._avail_active = False
@@ -906,7 +907,6 @@ class TickKernel:
             # Rebuild the packed word mirror from the restored masks and
             # re-register it on the swarm state.
             self.array.state.attach(self.state)
-            self.array.pool_active = False
         for axis in AXES:
             runtime = axis.state(self)
             if runtime is not None:

@@ -210,9 +210,8 @@ def create_engine(name: str, n: int, k: int, **kwargs: Any) -> Any:
         if not spec.array_backend:
             capable = ", ".join(s.name for s in ENGINES.values() if s.array_backend)
             raise ConfigError(
-                f"the {name} engine does not support the array backend "
-                f"(no batched attempt path); use backend='loop' or one "
-                f"of: {capable}"
+                f"the {name} engine does not support the array backend; "
+                f"use backend='loop' or one of: {capable}"
             )
         kwargs["backend"] = backend
     return spec.factory(n, k, **kwargs)

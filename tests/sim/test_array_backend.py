@@ -1,19 +1,23 @@
 """Contract suite for the :mod:`repro.sim.array` backend.
 
-The backend's headline promise is *equivalence*: ``ArrayBackend.submit``
-applies a whole batch of attempts with vectorized operations, yet must be
+The backend's headline promise is *equivalence*: an array-backed run is
 indistinguishable — state, ledgers, logs, counters, return values — from
-calling :meth:`TickKernel.attempt` sequentially on the same list. The
-Hypothesis property test here holds it to that over random batches,
-including fault-judged failures, duplicate deliveries, credit charging
-and multi-tick runs (the backend docstring points here by name).
+the loop backend. Two layers hold it to that:
 
-Alongside it: the RNG micro-contract the vectorized randomized tick
+* a Hypothesis property test drives random attempt scripts through
+  :meth:`TickKernel.attempt` on both backends, including fault-judged
+  failures, duplicate deliveries, credit charging and multi-tick runs, so
+  the word mirror, deferred logging and pool bookkeeping stay exact;
+* whole randomized runs compared across backends, for the vectorized
+  cooperative tick and for every configuration the array backend hands
+  to the scalar path (tiers, ``d != 1``, reseed, credit under loss),
+  plus a lane-selection spy that pins which ticks vectorize.
+
+Alongside them: the RNG micro-contract the vectorized randomized tick
 relies on (the inlined ``getrandbits`` rejection loop is draw-for-draw
 ``Random.randrange``), the backend's configuration errors (unknown
-backend names, array on a non-array engine, ``submit`` under a live
-receiver pool), the registry's soft ambient default, and loop/array
-parity of whole randomized runs with the log on and off.
+backend names, array on a non-array engine), and the registry's soft
+ambient default.
 """
 
 from __future__ import annotations
@@ -25,11 +29,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import AdversaryPlan
 from repro.core.errors import ConfigError
 from repro.core.mechanisms import CreditLimitedBarter
-from repro.faults import FaultPlan
-from repro.randomized.engine import RandomizedEngine
+from repro.core.model import BandwidthModel
+from repro.experiments.heterogeneity import mix_spec
+from repro.faults import FaultPlan, RecoveryPolicy
+from repro.overlays.random_regular import random_regular_graph
+from repro.randomized.engine import RandomizedEngine, RandomizedTickPolicy
 from repro.sim import create_engine, default_backend, set_default_backend
+from repro.sim.array import BatchRunner
 from repro.sim.kernel import TickKernel
 from repro.sim.policy import TickPolicy
 
@@ -37,32 +46,22 @@ from repro.sim.policy import TickPolicy
 class ScriptedPolicy(TickPolicy):
     """Replay a fixed per-tick attempt script; no decisions, no draws.
 
-    ``batched=False`` feeds the script through ``kernel.attempt`` one
-    attempt at a time; ``batched=True`` hands each tick's attempts to
-    ``kernel.array.submit`` in one call. Everything else (faults, credit,
-    capacity, logging) is the kernel's — which is exactly what the
-    equivalence property exercises.
+    Feeds the script through ``kernel.attempt`` one attempt at a time.
+    Everything else (faults, credit, capacity, logging, the array
+    mirror) is the kernel's — which is exactly what the equivalence
+    property exercises.
     """
 
     name = "scripted"
     supports_array = True
 
-    def __init__(self, script: list[list[tuple[int, int, int]]], batched: bool):
+    def __init__(self, script: list[list[tuple[int, int, int]]]):
         self.script = script
-        self.batched = batched
         self.outcomes: list[bool] = []
 
     def run_tick(self, snapshot):
         attempts = self.script[self.kernel.tick - 1]
-        if not self.batched:
-            self.outcomes.extend(
-                self.kernel.attempt(s, d, b) for s, d, b in attempts
-            )
-            return
-        srcs = np.array([a[0] for a in attempts], dtype=np.int64)
-        dsts = np.array([a[1] for a in attempts], dtype=np.int64)
-        blocks = np.array([a[2] for a in attempts], dtype=np.int64)
-        self.outcomes.extend(self.kernel.array.submit(srcs, dsts, blocks).tolist())
+        self.outcomes.extend(self.kernel.attempt(s, d, b) for s, d, b in attempts)
 
 
 def _masks_as_bool(masks: list[int], k: int) -> np.ndarray:
@@ -99,8 +98,8 @@ def _batch_case(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_batch_case())
-def test_submit_matches_sequential_attempts(case):
-    """`submit` on a batch == `TickKernel.attempt` run sequentially:
+def test_array_attempts_match_loop_attempts(case):
+    """`kernel.attempt` on the array backend == on the loop backend:
     same masks, frequency counts, word mirror, capacity ledger, credit
     balances, both log streams, per-tick counters, pool layout, and the
     same per-attempt outcome vector — under faults and duplicates."""
@@ -111,8 +110,8 @@ def test_submit_matches_sequential_attempts(case):
         else None
     )
 
-    def build(batched: bool) -> tuple[TickKernel, ScriptedPolicy]:
-        policy = ScriptedPolicy(script, batched=batched)
+    def build(backend: str | None) -> tuple[TickKernel, ScriptedPolicy]:
+        policy = ScriptedPolicy(script)
         kernel = TickKernel(
             n,
             k,
@@ -121,37 +120,36 @@ def test_submit_matches_sequential_attempts(case):
             keep_log=keep_log,
             faults=faults,
             credit=CreditLimitedBarter(3) if credit_on else None,
-            backend="array" if batched else None,
+            backend=backend,
         )
         return kernel, policy
 
-    seq, seq_policy = build(batched=False)
-    bat, bat_policy = build(batched=True)
+    loop, loop_policy = build(None)
+    arr, arr_policy = build("array")
     for _ in script:
-        seq.step()
-        bat.step()
-    bat.sync_log()
+        loop.step()
+        arr.step()
+    arr.sync_log()
 
-    assert bat_policy.outcomes == seq_policy.outcomes
-    assert bat.state.masks == seq.state.masks
-    assert np.array_equal(bat.state.freq, seq.state.freq)
-    assert bat._dl_left == seq._dl_left
-    assert bat.uploads_per_tick == seq.uploads_per_tick
-    assert bat.failures_per_tick == seq.failures_per_tick
-    # Completion-triggered removals replay in submission order, so the
-    # swap-removal pool layout (which feeds later uniform draws in real
-    # policies) must coincide exactly, not just as a set.
-    assert bat._pool == seq._pool
+    assert arr_policy.outcomes == loop_policy.outcomes
+    assert arr.state.masks == loop.state.masks
+    assert np.array_equal(arr.state.freq, loop.state.freq)
+    assert arr._dl_left == loop._dl_left
+    assert arr.uploads_per_tick == loop.uploads_per_tick
+    assert arr.failures_per_tick == loop.failures_per_tick
+    # The swap-removal pool layout feeds later uniform draws in real
+    # policies, so it must coincide exactly, not just as a set.
+    assert arr._pool == loop._pool
     if credit_on:
-        assert bat.credit.ledger._net == seq.credit.ledger._net
+        assert arr.credit.ledger._net == loop.credit.ledger._net
     if keep_log:
-        assert bat.log._transfers == seq.log._transfers
-        assert bat.log._failures == seq.log._failures
+        assert arr.log._transfers == loop.log._transfers
+        assert arr.log._failures == loop.log._failures
     else:
-        assert len(bat.log) == len(seq.log) == 0
+        assert len(arr.log) == len(loop.log) == 0
     # The word mirror stays bit-exact with the authoritative bigints.
     assert np.array_equal(
-        bat.array.state.ownership(), _masks_as_bool(bat.state.masks, k)
+        arr.array.state.ownership(), _masks_as_bool(arr.state.masks, k)
     )
 
 
@@ -189,44 +187,6 @@ def test_explicit_array_rejection_lists_capable_engines():
         create_engine("coding", 8, 4, rng=1, backend="array")
 
 
-def test_submit_refuses_live_receiver_pool():
-    policy = ScriptedPolicy([[]], batched=True)
-    kernel = TickKernel(6, 3, policy, rng=1, backend="array")
-    kernel.activate_receiver_pool()
-    with pytest.raises(ConfigError, match="receiver pool"):
-        kernel.array.submit(
-            np.array([0]), np.array([1]), np.array([0])
-        )
-
-
-def test_submit_refuses_array_pool_too():
-    policy = ScriptedPolicy([[]], batched=True)
-    kernel = TickKernel(6, 3, policy, rng=1, backend="array")
-    kernel.array.activate_pool([1, 2, 3])
-    with pytest.raises(ConfigError, match="receiver pool"):
-        kernel.array.submit(
-            np.array([0]), np.array([1]), np.array([0])
-        )
-
-
-def test_submit_rejects_mismatched_shapes():
-    policy = ScriptedPolicy([[]], batched=True)
-    kernel = TickKernel(6, 3, policy, rng=1, backend="array")
-    with pytest.raises(ConfigError, match="equal-length"):
-        kernel.array.submit(
-            np.array([0, 0]), np.array([1]), np.array([0])
-        )
-
-
-def test_submit_empty_batch_is_a_noop():
-    policy = ScriptedPolicy([[]], batched=True)
-    kernel = TickKernel(6, 3, policy, rng=1, backend="array")
-    ok = kernel.array.submit(
-        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
-    )
-    assert ok.shape == (0,) and ok.dtype == bool
-
-
 # -- ambient default ---------------------------------------------------------
 
 
@@ -259,19 +219,138 @@ def test_set_default_backend_validates_and_returns_previous():
 # -- whole-run parity --------------------------------------------------------
 
 
-@pytest.mark.parametrize("keep_log", [True, False])
-def test_randomized_run_parity_loop_vs_array(keep_log):
+# Configurations the array backend hands to the scalar path. No golden
+# fixture arms them, so they are pinned here: tiers, d != 1, crash-only
+# faults whose reseed recovery refuses the vectorized tick on ticks with
+# a server-only block, and credit under loss across two ownership words.
+# Each entry builds fresh options: a mechanism carries run state, so two
+# engines must not share one.
+_SCALAR_LANE = {
+    "broadband-tiers": (32, lambda: {"bandwidth": mix_spec("broadband")}),
+    "download-2": (32, lambda: {"model": BandwidthModel(download=2)}),
+    "crash-reseed": (
+        32,
+        lambda: {
+            "faults": FaultPlan(
+                crash_rate=0.02, rejoin_delay=4, rejoin_retention=0.5, max_crashes=6
+            ),
+            "recovery": RecoveryPolicy(reseed=True),
+        },
+    ),
+    "credit-loss-k96": (
+        96,
+        lambda: {
+            "mechanism": CreditLimitedBarter(2),
+            "faults": FaultPlan(loss_rate=0.1),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("keep_log", "k", "options"),
+    [
+        pytest.param(True, 32, dict, id="True"),
+        pytest.param(False, 32, dict, id="False"),
+        *(
+            pytest.param(True, k, options, id=name)
+            for name, (k, options) in _SCALAR_LANE.items()
+        ),
+    ],
+)
+def test_randomized_run_parity_loop_vs_array(keep_log, k, options):
     """A full randomized run is byte-identical across backends with the
     transfer log on (eager vs deferred logging) and off (the fast lane's
-    no-log path)."""
-    loop = RandomizedEngine(48, 32, rng=9, keep_log=keep_log)
-    arr = RandomizedEngine(48, 32, rng=9, keep_log=keep_log, backend="array")
+    no-log path), and for every configuration that takes the scalar
+    path on the array backend."""
+    loop = RandomizedEngine(48, k, rng=9, keep_log=keep_log, **options())
+    arr = RandomizedEngine(
+        48, k, rng=9, keep_log=keep_log, backend="array", **options()
+    )
     r_loop = loop.run()
     r_arr = arr.run()
     assert r_arr.completion_time == r_loop.completion_time
     assert arr.kernel.state.masks == loop.kernel.state.masks
     assert arr.kernel.uploads_per_tick == loop.kernel.uploads_per_tick
+    assert arr.kernel.failures_per_tick == loop.kernel.failures_per_tick
     assert arr.kernel.rng.random() == loop.kernel.rng.random()
     if keep_log:
         assert r_arr.log._transfers == r_loop.log._transfers
         assert r_arr.log._failures == r_loop.log._failures
+
+
+# -- lane selection ----------------------------------------------------------
+
+
+@pytest.fixture
+def lane_spy(monkeypatch):
+    """Count ticks overall and ticks taken by the vectorized lane."""
+    counts = {"ticks": 0, "vectorized": 0}
+    run_tick = RandomizedTickPolicy.run_tick
+    run_tick_array = RandomizedTickPolicy._run_tick_array
+
+    def spy_run_tick(self, snapshot):
+        counts["ticks"] += 1
+        return run_tick(self, snapshot)
+
+    def spy_run_tick_array(self, snapshot, backend):
+        counts["vectorized"] += 1
+        # The predicate refuses any tick with a server-only block under
+        # reseed recovery, so a vectorized tick never sees one.
+        if self.kernel.faults is not None and self.kernel.recovery.reseed:
+            assert 1 not in self.kernel.state.freq
+        return run_tick_array(self, snapshot, backend)
+
+    monkeypatch.setattr(RandomizedTickPolicy, "run_tick", spy_run_tick)
+    monkeypatch.setattr(RandomizedTickPolicy, "_run_tick_array", spy_run_tick_array)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(
+            lambda: RandomizedEngine(48, 32, rng=9, backend="array").run(),
+            id="engine",
+        ),
+        pytest.param(
+            lambda: BatchRunner("randomized", 40, 20, replicas=1, base_seed=3).run(),
+            id="batch-replica",
+        ),
+    ],
+)
+def test_cooperative_array_run_vectorizes_every_tick(lane_spy, run):
+    run()
+    assert lane_spy["ticks"] > 0
+    assert lane_spy["vectorized"] == lane_spy["ticks"]
+
+
+def test_crash_reseed_run_refuses_reseed_ticks(lane_spy):
+    """Tick 1 always has server-only blocks, so reseeding refuses it;
+    once every block has a second holder the vectorized lane resumes."""
+    _, options = _SCALAR_LANE["crash-reseed"]
+    RandomizedEngine(48, 32, rng=9, backend="array", **options()).run()
+    assert 0 < lane_spy["vectorized"] < lane_spy["ticks"]
+
+
+@pytest.mark.parametrize(
+    ("k", "options"),
+    [
+        *(
+            pytest.param(k, options, id=name)
+            for name, (k, options) in _SCALAR_LANE.items()
+            if name != "crash-reseed"
+        ),
+        pytest.param(32, lambda: {"faults": FaultPlan(loss_rate=0.15)}, id="loss"),
+        pytest.param(
+            32, lambda: {"overlay": random_regular_graph(48, 6, rng=0)}, id="overlay"
+        ),
+        pytest.param(
+            32, lambda: {"adversary": AdversaryPlan(free_riders=(3,))}, id="adversary"
+        ),
+    ],
+)
+def test_scalar_configurations_never_vectorize(lane_spy, k, options):
+    RandomizedEngine(48, k, rng=9, backend="array", **options()).run()
+    assert lane_spy["ticks"] > 0
+    assert lane_spy["vectorized"] == 0
