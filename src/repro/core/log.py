@@ -6,8 +6,12 @@ randomized simulators alike — emits a :class:`TransferLog`: the list of
 what the independent verifier checks, what completion times are computed
 from, and what the efficiency analysis ("amortization") consumes.
 
-Keeping the log as plain tuples keeps the hot loops cheap; the richer
-accessors here build indexes lazily.
+Each stream is stored as int32 columns (tick, src, dst, block) rather
+than one Python tuple per row: a million-row log costs ~17 MB instead of
+~130 MB, is invisible to the cyclic garbage collector, and pickles as raw
+byte buffers. :class:`Transfer` rows are built lazily when read, and
+:meth:`TransferLog.groups` walks a stream one tick at a time, so a
+verifier pass never rebuilds the whole log as tuples.
 
 Failed transfers (:mod:`repro.faults`) are first-class records: a failed
 send consumed the tick's upload and download bandwidth — and, under a
@@ -27,9 +31,11 @@ counts toward completion — which the independent verifier re-checks.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable, Iterator
+import operator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +43,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import SERVER
 
-__all__ = ["Transfer", "TransferLog", "RunResult"]
+__all__ = ["STREAMS", "Transfer", "TransferLog", "RunResult"]
 
 
 class Transfer(NamedTuple):
@@ -49,27 +55,164 @@ class Transfer(NamedTuple):
     block: int
 
 
+#: The log's four streams, in the order every multi-stream API takes them.
+STREAMS = ("transfers", "failures", "polluted", "phantoms")
+
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+
+
+def _as_transfers(rows: Iterable[tuple[int, int, int, int]]) -> Iterator[Transfer]:
+    """Retype 4-tuples as :class:`Transfer` rows, in C (no Python-level
+    ``__new__`` per row): the lazy row view of the columns."""
+    return map(tuple.__new__, repeat(Transfer), rows)
+
+
+class _Stream:
+    """One stream of a :class:`TransferLog`: four growable int32 columns."""
+
+    __slots__ = ("name", "label", "tick", "src", "dst", "block", "last")
+
+    def __init__(self, name: str, label: str) -> None:
+        self.name = name
+        #: How tick-order errors name the stream.
+        self.label = label
+        self.tick = array("i")
+        self.src = array("i")
+        self.dst = array("i")
+        self.block = array("i")
+        self.last = 0
+
+    def cols(self) -> tuple[array, array, array, array]:
+        return self.tick, self.src, self.dst, self.block
+
+    def check_first_tick(self, tick: int) -> None:
+        if tick < 1:
+            raise ConfigError(f"ticks are 1-based, got {tick}")
+        if tick < self.last:
+            raise ConfigError(
+                f"{self.label} must be appended in tick order "
+                f"({tick} after {self.last})"
+            )
+
+    def add(self, tick: int, src: int, dst: int, block: int) -> None:
+        if tick < self.last or tick < 1:
+            self.check_first_tick(tick)
+        try:
+            self.tick.append(tick)
+            self.src.append(src)
+            self.dst.append(dst)
+            self.block.append(block)
+        except (OverflowError, TypeError, BufferError):
+            self._add_slow((tick, src, dst, block))
+        self.last = tick
+
+    def _add_slow(self, row: tuple) -> None:
+        """Undo a partial append, then reject the row or unshare and retry."""
+        self.rollback()
+        self.check_values(row)
+        self.unshare()
+        for col, value in zip(self.cols(), row):
+            col.append(value)
+
+    def rollback(self) -> None:
+        """Trim the columns that took a row the last column did not."""
+        size = len(self.block)  # columns grow in order; block is last
+        for col in self.cols():
+            if len(col) > size:
+                del col[size:]
+
+    def check_values(self, values: Iterable) -> None:
+        """Raise :class:`ConfigError` on the first value no int32 holds."""
+        for value in values:
+            try:
+                fits = _INT32_MIN <= operator.index(value) <= _INT32_MAX
+            except TypeError:
+                fits = False
+            if not fits:
+                raise ConfigError(
+                    f"{self.name} row value {value!r} does not fit the "
+                    f"log's int32 columns"
+                )
+
+    def unshare(self) -> None:
+        """Copy any column a :meth:`TransferLog.columns` view still holds.
+
+        An ``array`` cannot grow while a buffer export is alive; the view
+        keeps the old copy as a snapshot and the stream appends to a
+        fresh one.
+        """
+        self.tick, self.src, self.dst, self.block = (
+            array("i", col) for col in self.cols()
+        )
+
+    def extend(self, rows) -> None:
+        if not len(rows):
+            return
+        table = np.asarray(rows)
+        if table.ndim != 2 or table.shape[1] != 4:
+            raise ConfigError(
+                f"{self.name} batch must be (tick, src, dst, block) rows, "
+                f"got shape {table.shape}"
+            )
+        if table.dtype.kind not in "biu" or (
+            table.size
+            and (int(table.min()) < _INT32_MIN or int(table.max()) > _INT32_MAX)
+        ):
+            self.check_values(value for row in rows for value in row)
+        table = table.astype(np.int32)
+        ticks = table[:, 0]
+        self.check_first_tick(int(ticks[0]))
+        if ticks.size > 1 and (ticks[1:] < ticks[:-1]).any():
+            raise ConfigError(f"{self.label} batch rows are not in tick order")
+        columns = [
+            memoryview(col).cast("B") for col in np.ascontiguousarray(table.T)
+        ]
+        try:
+            for col, values in zip(self.cols(), columns):
+                col.frombytes(values)
+        except BufferError:
+            self.rollback()
+            self.unshare()
+            for col, values in zip(self.cols(), columns):
+                col.frombytes(values)
+        self.last = int(ticks[-1])
+
+    def rows(self, start: int = 0, stop: int | None = None) -> list[Transfer]:
+        cols = (col[start:stop].tolist() for col in self.cols())
+        return list(_as_transfers(zip(*cols)))
+
+    def groups(self) -> Iterator[tuple[int, list[Transfer]]]:
+        size = len(self.tick)
+        if not size:
+            return
+        ticks = np.frombuffer(self.tick, np.int32)
+        ends = (np.flatnonzero(ticks[1:] != ticks[:-1]) + 1).tolist()
+        del ticks  # release the buffer export before yielding
+        ends.append(size)
+        start = 0
+        for end in ends:
+            yield self.tick[start], self.rows(start, end)
+            start = end
+
+
 class TransferLog:
     """An append-only, tick-ordered record of transfers.
 
     Transfers must be appended in non-decreasing tick order; engines are
     tick-synchronous so this is natural, and it lets per-tick grouping be a
     single pass. Successful deliveries, failed attempts, polluted
-    deliveries and phantom deliveries form four streams with independent
-    tick-order invariants, so a log can be rebuilt stream by stream
-    (serde) as well as interleaved (engines).
+    deliveries and phantom deliveries form four streams (:data:`STREAMS`)
+    with independent tick-order invariants, so a log can be rebuilt stream
+    by stream (serde) as well as interleaved (engines).
+
+    Each stream is stored as four int32 columns (tick, src, dst, block):
+    16 bytes a row, not a Python object per row. :class:`Transfer` stays
+    the row type; iteration, indexing and the per-stream tuples build rows
+    on demand, and :meth:`columns` exposes the raw columns as numpy views.
+    A value outside the int32 range raises :class:`ConfigError`.
     """
 
-    __slots__ = (
-        "_transfers",
-        "_last_tick",
-        "_failures",
-        "_last_fail_tick",
-        "_polluted",
-        "_last_polluted_tick",
-        "_phantoms",
-        "_last_phantom_tick",
-    )
+    __slots__ = ("_streams", "_deliveries", "_failures", "_polluted", "_phantoms")
 
     def __init__(
         self,
@@ -78,38 +221,35 @@ class TransferLog:
         polluted: Iterable[Transfer] = (),
         phantoms: Iterable[Transfer] = (),
     ) -> None:
-        self._transfers: list[Transfer] = []
-        self._last_tick = 0
-        self._failures: list[Transfer] = []
-        self._last_fail_tick = 0
-        self._polluted: list[Transfer] = []
-        self._last_polluted_tick = 0
-        self._phantoms: list[Transfer] = []
-        self._last_phantom_tick = 0
-        for t in transfers:
-            self.append(t)
-        for t in failures:
-            self.append_failure(t)
-        for t in polluted:
-            self.append_polluted(t)
-        for t in phantoms:
-            self.append_phantom(t)
+        self._streams = (
+            _Stream("transfers", "transfers"),
+            _Stream("failures", "failures"),
+            _Stream("polluted", "polluted rows"),
+            _Stream("phantoms", "phantom rows"),
+        )
+        self._deliveries, self._failures, self._polluted, self._phantoms = (
+            self._streams
+        )
+        streams = (transfers, failures, polluted, phantoms)
+        for stream, rows in zip(self._streams, streams):
+            for t in rows:
+                stream.add(*t)
+
+    def _stream(self, name: str) -> _Stream:
+        try:
+            return self._streams[STREAMS.index(name)]
+        except ValueError:
+            raise ConfigError(
+                f"unknown log stream {name!r}; expected one of {STREAMS}"
+            ) from None
 
     def append(self, transfer: Transfer) -> None:
         """Record one transfer; ticks must be non-decreasing and >= 1."""
-        if transfer.tick < 1:
-            raise ConfigError(f"ticks are 1-based, got {transfer.tick}")
-        if transfer.tick < self._last_tick:
-            raise ConfigError(
-                f"transfers must be appended in tick order "
-                f"({transfer.tick} after {self._last_tick})"
-            )
-        self._last_tick = transfer.tick
-        self._transfers.append(transfer)
+        self._deliveries.add(*transfer)
 
     def record(self, tick: int, src: int, dst: int, block: int) -> None:
         """Convenience wrapper around :meth:`append`."""
-        self.append(Transfer(tick, src, dst, block))
+        self._deliveries.add(tick, src, dst, block)
 
     def append_failure(self, transfer: Transfer) -> None:
         """Record one *failed* attempt; ticks must be non-decreasing.
@@ -118,19 +258,11 @@ class TransferLog:
         barter, credit) but delivered nothing; it never appears in
         delivery-side accessors such as :meth:`by_tick`.
         """
-        if transfer.tick < 1:
-            raise ConfigError(f"ticks are 1-based, got {transfer.tick}")
-        if transfer.tick < self._last_fail_tick:
-            raise ConfigError(
-                f"failures must be appended in tick order "
-                f"({transfer.tick} after {self._last_fail_tick})"
-            )
-        self._last_fail_tick = transfer.tick
-        self._failures.append(transfer)
+        self._failures.add(*transfer)
 
     def record_failure(self, tick: int, src: int, dst: int, block: int) -> None:
         """Convenience wrapper around :meth:`append_failure`."""
-        self.append_failure(Transfer(tick, src, dst, block))
+        self._failures.add(tick, src, dst, block)
 
     def append_polluted(self, transfer: Transfer) -> None:
         """Record one *polluted* delivery; ticks must be non-decreasing.
@@ -140,19 +272,11 @@ class TransferLog:
         the block; it never appears in delivery-side accessors and never
         counts toward completion.
         """
-        if transfer.tick < 1:
-            raise ConfigError(f"ticks are 1-based, got {transfer.tick}")
-        if transfer.tick < self._last_polluted_tick:
-            raise ConfigError(
-                f"polluted rows must be appended in tick order "
-                f"({transfer.tick} after {self._last_polluted_tick})"
-            )
-        self._last_polluted_tick = transfer.tick
-        self._polluted.append(transfer)
+        self._polluted.add(*transfer)
 
     def record_polluted(self, tick: int, src: int, dst: int, block: int) -> None:
         """Convenience wrapper around :meth:`append_polluted`."""
-        self.append_polluted(Transfer(tick, src, dst, block))
+        self._polluted.add(tick, src, dst, block)
 
     def append_phantom(self, transfer: Transfer) -> None:
         """Record one *phantom* delivery; ticks must be non-decreasing.
@@ -161,148 +285,120 @@ class TransferLog:
         liar behavior of :mod:`repro.adversary`): the requester's slot
         was wasted, nothing arrived.
         """
-        if transfer.tick < 1:
-            raise ConfigError(f"ticks are 1-based, got {transfer.tick}")
-        if transfer.tick < self._last_phantom_tick:
-            raise ConfigError(
-                f"phantom rows must be appended in tick order "
-                f"({transfer.tick} after {self._last_phantom_tick})"
-            )
-        self._last_phantom_tick = transfer.tick
-        self._phantoms.append(transfer)
+        self._phantoms.add(*transfer)
 
     def record_phantom(self, tick: int, src: int, dst: int, block: int) -> None:
         """Convenience wrapper around :meth:`append_phantom`."""
-        self.append_phantom(Transfer(tick, src, dst, block))
+        self._phantoms.add(tick, src, dst, block)
 
     def extend_batch(
         self,
-        transfers: list[tuple[int, int, int, int]] = (),
-        failures: list[tuple[int, int, int, int]] = (),
-        polluted: list[tuple[int, int, int, int]] = (),
-        phantoms: list[tuple[int, int, int, int]] = (),
+        transfers: Sequence[Sequence[int]] = (),
+        failures: Sequence[Sequence[int]] = (),
+        polluted: Sequence[Sequence[int]] = (),
+        phantoms: Sequence[Sequence[int]] = (),
     ) -> None:
-        """Bulk-append ``(tick, src, dst, block)`` rows to both streams.
+        """Bulk-append ``(tick, src, dst, block)`` rows to each stream.
 
-        The materialisation path for deferred logging (the array backend
-        buffers raw tuples per attempt and flushes once): rows become
-        :class:`Transfer` records via a single C-level ``extend``, and the
-        per-stream tick-order invariants are enforced vectorially on the
-        whole batch instead of per append.
+        Each argument is a sequence of rows or an ``(m, 4)`` integer
+        array. The materialisation path for deferred logging (the array
+        backend buffers raw tuples per attempt and flushes once) and for
+        serde and checkpoint loads: one bulk append per column, with the
+        stream's tick-order and int32 checks run on the whole batch.
         """
-        for rows, target, last_attr in (
-            (transfers, self._transfers, "_last_tick"),
-            (failures, self._failures, "_last_fail_tick"),
-            (polluted, self._polluted, "_last_polluted_tick"),
-            (phantoms, self._phantoms, "_last_phantom_tick"),
-        ):
-            if not rows:
-                continue
-            ticks = np.fromiter((r[0] for r in rows), np.int64, count=len(rows))
-            if ticks[0] < 1:
-                raise ConfigError(f"ticks are 1-based, got {int(ticks[0])}")
-            last = getattr(self, last_attr)
-            if ticks[0] < last:
-                raise ConfigError(
-                    f"transfers must be appended in tick order "
-                    f"({int(ticks[0])} after {last})"
-                )
-            if ticks.size > 1 and (np.diff(ticks) < 0).any():
-                raise ConfigError("batch rows are not in tick order")
-            target.extend(map(Transfer._make, rows))
-            setattr(self, last_attr, int(ticks[-1]))
+        batches = (transfers, failures, polluted, phantoms)
+        for stream, rows in zip(self._streams, batches):
+            stream.extend(rows)
+
+    def columns(self, stream: str = "transfers") -> tuple[np.ndarray, ...]:
+        """The ``(tick, src, dst, block)`` int32 columns of one stream.
+
+        Read-only numpy views of the log's storage, no copy. A view is a
+        snapshot: appending to the stream afterwards copies its columns
+        once and leaves the views as they were.
+        """
+        cols = self._stream(stream).cols()
+        views = tuple(np.frombuffer(col, np.int32) for col in cols)
+        for view in views:
+            view.flags.writeable = False
+        return views
+
+    def as_lists(self, stream: str = "transfers") -> list[list[int]]:
+        """One stream's rows as ``[tick, src, dst, block]`` lists.
+
+        The JSON row shape of :mod:`repro.core.serde` documents and
+        kernel checkpoints, built from the columns in one numpy pass.
+        """
+        return np.column_stack(self.columns(stream)).tolist()
+
+    def groups(self, stream: str = "transfers") -> Iterator[tuple[int, list[Transfer]]]:
+        """Lazily yield ``(tick, rows)`` per active tick of one stream.
+
+        Tick boundaries come from the tick column; each group's rows are
+        built only when it is reached, so a pass over a million-row log
+        never holds more than one tick of :class:`Transfer` rows.
+        """
+        return self._stream(stream).groups()
 
     def __len__(self) -> int:
-        return len(self._transfers)
+        return len(self._deliveries.tick)
 
     def __iter__(self) -> Iterator[Transfer]:
-        return iter(self._transfers)
+        return _as_transfers(zip(*self._deliveries.cols()))
 
-    def __getitem__(self, i: int) -> Transfer:
-        return self._transfers[i]
+    def __getitem__(self, i: int | slice) -> Transfer | list[Transfer]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Transfer(*(col[i] for col in self._deliveries.cols()))
 
     @property
     def last_tick(self) -> int:
         """The tick of the final transfer (0 for an empty log)."""
-        return self._last_tick
+        return self._deliveries.last
 
     @property
     def failures(self) -> tuple[Transfer, ...]:
         """All failed attempts, in tick order."""
-        return tuple(self._failures)
+        return tuple(self._failures.rows())
 
     @property
     def failed_count(self) -> int:
         """Number of failed attempts recorded."""
-        return len(self._failures)
+        return len(self._failures.tick)
 
     @property
     def polluted(self) -> tuple[Transfer, ...]:
         """All polluted deliveries, in tick order."""
-        return tuple(self._polluted)
+        return tuple(self._polluted.rows())
 
     @property
     def polluted_count(self) -> int:
         """Number of polluted deliveries recorded."""
-        return len(self._polluted)
+        return len(self._polluted.tick)
 
     @property
     def phantoms(self) -> tuple[Transfer, ...]:
         """All phantom deliveries, in tick order."""
-        return tuple(self._phantoms)
+        return tuple(self._phantoms.rows())
 
     @property
     def phantom_count(self) -> int:
         """Number of phantom deliveries recorded."""
-        return len(self._phantoms)
+        return len(self._phantoms.tick)
 
     @property
     def attempted(self) -> int:
         """Total attempts: deliveries, failures, polluted and phantoms."""
-        return (
-            len(self._transfers)
-            + len(self._failures)
-            + len(self._polluted)
-            + len(self._phantoms)
-        )
+        return sum(len(stream.tick) for stream in self._streams)
 
     @property
     def last_attempt_tick(self) -> int:
         """Tick of the final attempt of any stream (0 if empty)."""
-        return max(
-            self._last_tick,
-            self._last_fail_tick,
-            self._last_polluted_tick,
-            self._last_phantom_tick,
-        )
+        return max(stream.last for stream in self._streams)
 
-    def by_tick(self) -> dict[int, list[Transfer]]:
-        """Group transfers per tick. Only ticks with activity appear."""
-        grouped: dict[int, list[Transfer]] = defaultdict(list)
-        for t in self._transfers:
-            grouped[t.tick].append(t)
-        return dict(grouped)
-
-    def failures_by_tick(self) -> dict[int, list[Transfer]]:
-        """Group failed attempts per tick. Only ticks with failures appear."""
-        grouped: dict[int, list[Transfer]] = defaultdict(list)
-        for t in self._failures:
-            grouped[t.tick].append(t)
-        return dict(grouped)
-
-    def polluted_by_tick(self) -> dict[int, list[Transfer]]:
-        """Group polluted deliveries per tick (active ticks only)."""
-        grouped: dict[int, list[Transfer]] = defaultdict(list)
-        for t in self._polluted:
-            grouped[t.tick].append(t)
-        return dict(grouped)
-
-    def phantoms_by_tick(self) -> dict[int, list[Transfer]]:
-        """Group phantom deliveries per tick (active ticks only)."""
-        grouped: dict[int, list[Transfer]] = defaultdict(list)
-        for t in self._phantoms:
-            grouped[t.tick].append(t)
-        return dict(grouped)
+    def by_tick(self, stream: str = "transfers") -> dict[int, list[Transfer]]:
+        """Group one stream's rows per tick. Only ticks with activity appear."""
+        return dict(self.groups(stream))
 
     def uploads_per_tick(self) -> list[int]:
         """Number of transfers in each tick ``1 .. last_tick``.
@@ -310,10 +406,8 @@ class TransferLog:
         This is the series behind the paper's "amortization" discussion:
         the fraction of nodes uploading in each tick.
         """
-        counts = [0] * self._last_tick
-        for t in self._transfers:
-            counts[t.tick - 1] += 1
-        return counts
+        ticks = self.columns("transfers")[0]
+        return np.bincount(ticks, minlength=self.last_tick + 1)[1:].tolist()
 
     def completion_ticks(self, n: int, k: int) -> dict[int, int]:
         """Tick at which each client first holds all ``k`` blocks.
@@ -325,14 +419,15 @@ class TransferLog:
         held = [0] * n
         done: dict[int, int] = {}
         goal = (1 << k) - 1
-        for t in self._transfers:
-            if not 0 <= t.dst < n:
-                raise ConfigError(f"transfer destination {t.dst} outside 0..{n - 1}")
-            if held[t.dst] >> t.block & 1:
+        stream = self._deliveries
+        for tick, dst, block in zip(stream.tick, stream.dst, stream.block):
+            if not 0 <= dst < n:
+                raise ConfigError(f"transfer destination {dst} outside 0..{n - 1}")
+            if held[dst] >> block & 1:
                 continue
-            held[t.dst] |= 1 << t.block
-            if held[t.dst] == goal and t.dst != SERVER:
-                done[t.dst] = t.tick
+            held[dst] |= 1 << block
+            if held[dst] == goal and dst != SERVER:
+                done[dst] = tick
         return done
 
     def final_masks(self, n: int, k: int) -> list[int]:
@@ -342,8 +437,9 @@ class TransferLog:
         """
         held = [0] * n
         held[SERVER] = (1 << k) - 1
-        for t in self._transfers:
-            held[t.dst] |= 1 << t.block
+        stream = self._deliveries
+        for dst, block in zip(stream.dst, stream.block):
+            held[dst] |= 1 << block
         return held
 
 

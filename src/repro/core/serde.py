@@ -18,7 +18,7 @@ from typing import IO
 
 from .engine import Schedule
 from .errors import ConfigError
-from .log import RunResult, Transfer, TransferLog
+from .log import RunResult, TransferLog
 
 __all__ = [
     "schedule_to_dict",
@@ -91,20 +91,14 @@ def log_to_dict(log: TransferLog, n: int, k: int) -> dict:
         ),
         "n": n,
         "k": k,
-        "transfers": [[t.tick, t.src, t.dst, t.block] for t in log],
+        "transfers": log.as_lists("transfers"),
     }
     if log.failed_count:
-        doc["failures"] = [
-            [t.tick, t.src, t.dst, t.block] for t in log.failures
-        ]
+        doc["failures"] = log.as_lists("failures")
     if log.polluted_count:
-        doc["polluted"] = [
-            [t.tick, t.src, t.dst, t.block] for t in log.polluted
-        ]
+        doc["polluted"] = log.as_lists("polluted")
     if log.phantom_count:
-        doc["phantom"] = [
-            [t.tick, t.src, t.dst, t.block] for t in log.phantoms
-        ]
+        doc["phantom"] = log.as_lists("phantoms")
     return doc
 
 
@@ -112,20 +106,12 @@ def log_from_dict(data: dict) -> tuple[TransferLog, int, int]:
     """Rebuild ``(log, n, k)``; validates the envelope (v1, v2 or v3)."""
     if data.get("format") not in (_LOG_FORMAT, _LOG_FORMAT_V2, _LOG_FORMAT_V3):
         raise ConfigError(f"not a log document (format={data.get('format')!r})")
-    log = TransferLog(
-        (Transfer(int(t), int(s), int(d), int(b)) for t, s, d, b in data["transfers"]),
-        failures=(
-            Transfer(int(t), int(s), int(d), int(b))
-            for t, s, d, b in data.get("failures", ())
-        ),
-        polluted=(
-            Transfer(int(t), int(s), int(d), int(b))
-            for t, s, d, b in data.get("polluted", ())
-        ),
-        phantoms=(
-            Transfer(int(t), int(s), int(d), int(b))
-            for t, s, d, b in data.get("phantom", ())
-        ),
+    log = TransferLog()
+    log.extend_batch(
+        data["transfers"],
+        data.get("failures", ()),
+        data.get("polluted", ()),
+        data.get("phantom", ()),
     )
     return log, int(data["n"]), int(data["k"])
 

@@ -47,11 +47,12 @@ the log carries no ordering).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .blocks import full_mask
 from .errors import ScheduleViolation
-from .log import Transfer, TransferLog
+from .log import STREAMS, Transfer, TransferLog
 from .mechanisms import Cooperative, Mechanism
 from .model import SERVER, BandwidthModel
 
@@ -167,30 +168,17 @@ def verify_log(
     peak_downloads = 0
     busy_ticks = 0
 
-    by_tick = log.by_tick()
-    fails_by_tick = log.failures_by_tick()
-    polluted_by_tick = log.polluted_by_tick()
-    phantoms_by_tick = log.phantoms_by_tick()
     # Independent blacklist replay (strike_threshold): strikes accrued
     # from adversarial rows in tick order; a banned pair must never
     # appear again at a strictly later tick, in any stream.
     strikes: Counter[tuple[int, int]] = Counter()
     banned: dict[tuple[int, int], int] = {}
-    for tick in sorted(
-        by_tick.keys()
-        | fails_by_tick.keys()
-        | polluted_by_tick.keys()
-        | phantoms_by_tick.keys()
-    ):
+    for tick, transfers, failures, polluted, phantoms in _tick_groups(log):
         while next_event < len(events) and events[next_event][0] <= tick:
             _, kind, node, mask = events[next_event]
             masks[node] = mask if kind == 0 else 0
             next_event += 1
-        transfers = by_tick.get(tick, [])
-        failures = fails_by_tick.get(tick, [])
-        polluted = polluted_by_tick.get(tick, [])
-        phantoms = phantoms_by_tick.get(tick, [])
-        _check_tick(
+        tick_downloads = _check_tick(
             tick,
             transfers,
             failures,
@@ -233,16 +221,13 @@ def verify_log(
         # Apply receipts only after the whole tick is validated (synchrony);
         # failed, polluted and phantom attempts deliver nothing — polluted
         # blocks never count toward completion.
-        for t in transfers:
-            if masks[t.dst] >> t.block & 1:
+        for _, src, dst, block in transfers:
+            if masks[dst] >> block & 1:
                 redundant += 1
-            masks[t.dst] |= 1 << t.block
-            if t.src == SERVER:
+            masks[dst] |= 1 << block
+            if src == SERVER:
                 server_uploads += 1
-        downloads = Counter(t.dst for t in transfers)
-        downloads.update(t.dst for t in (*failures, *polluted, *phantoms))
-        if downloads:
-            peak_downloads = max(peak_downloads, max(downloads.values()))
+        peak_downloads = max(peak_downloads, tick_downloads)
         busy_ticks += 1
 
     # Events after the last active tick still count (a late fail-stop
@@ -297,6 +282,33 @@ def verify_log(
     )
 
 
+_Rows = list[Transfer]
+
+
+def _tick_groups(log: TransferLog) -> Iterator[tuple[int, _Rows, _Rows, _Rows, _Rows]]:
+    """Merge the log's four per-stream tick groups, in tick order.
+
+    Yields ``(tick, transfers, failures, polluted, phantoms)`` for every
+    tick active in any stream; a stream idle at that tick contributes an
+    empty list. Each stream is walked lazily, one tick at a time, so the
+    replay never holds the whole log as rows.
+    """
+    streams = [log.groups(name) for name in STREAMS]
+    heads = [next(groups, None) for groups in streams]
+    while True:
+        tick = min((head[0] for head in heads if head is not None), default=None)
+        if tick is None:
+            return
+        rows = []
+        for i, head in enumerate(heads):
+            if head is not None and head[0] == tick:
+                rows.append(head[1])
+                heads[i] = next(streams[i], None)
+            else:
+                rows.append([])
+        yield (tick, *rows)
+
+
 def _retained_mask(retained) -> int:
     """Block mask a rejoin event's retained payload amounts to.
 
@@ -332,7 +344,8 @@ def _check_tick(
     model: BandwidthModel,
     overlay,
     allow_redundant: bool,
-) -> None:
+) -> int:
+    """Check one tick's static rules; return its peak per-node downloads."""
     uploads: Counter[int] = Counter()
     downloads: Counter[int] = Counter()
     incoming_blocks: set[tuple[int, int]] = set()
@@ -345,59 +358,57 @@ def _check_tick(
     # block and the receiver genuinely lacked it; the *content* was bad);
     # phantom rows are additionally exempt from causality and usefulness —
     # the advertisement itself was the lie, so no holding is implied.
-    for attempt_failed, phantom, t in (
-        [(False, False, t) for t in transfers]
-        + [(True, False, t) for t in failures]
-        + [(True, False, t) for t in polluted]
-        + [(True, True, t) for t in phantoms]
+    for attempt_failed, phantom, rows in (
+        (False, False, transfers),
+        (True, False, failures),
+        (True, False, polluted),
+        (True, True, phantoms),
     ):
-        if not (0 <= t.src < n and 0 <= t.dst < n):
-            raise ScheduleViolation(
-                f"transfer {t} references a node outside 0..{n - 1}",
-                tick=tick,
-                rule="node-range",
-            )
-        if t.src == t.dst:
-            raise ScheduleViolation(
-                f"node {t.src} transfers to itself", tick=tick, rule="self-transfer"
-            )
-        if not 0 <= t.block < k:
-            raise ScheduleViolation(
-                f"block {t.block} outside 0..{k - 1}", tick=tick, rule="block-range"
-            )
-        if overlay is not None and not overlay.has_edge(t.src, t.dst):
-            raise ScheduleViolation(
-                f"transfer {t.src} -> {t.dst} is not an overlay edge",
-                tick=tick,
-                rule="overlay",
-            )
-        if not phantom and not masks[t.src] >> t.block & 1:
-            raise ScheduleViolation(
-                f"node {t.src} sends block {t.block} it does not hold at "
-                f"tick start",
-                tick=tick,
-                rule="causality",
-            )
-        if (
-            not phantom
-            and masks[t.dst] >> t.block & 1
-            and not allow_redundant
-        ):
-            raise ScheduleViolation(
-                f"node {t.dst} already holds block {t.block} sent by {t.src}",
-                tick=tick,
-                rule="usefulness",
-            )
-        if not attempt_failed:
-            if (t.dst, t.block) in incoming_blocks and not allow_redundant:
+        for t in rows:
+            _, src, dst, block = t
+            if not (0 <= src < n and 0 <= dst < n):
                 raise ScheduleViolation(
-                    f"node {t.dst} receives block {t.block} twice in one tick",
+                    f"transfer {t} references a node outside 0..{n - 1}",
+                    tick=tick,
+                    rule="node-range",
+                )
+            if src == dst:
+                raise ScheduleViolation(
+                    f"node {src} transfers to itself", tick=tick, rule="self-transfer"
+                )
+            if not 0 <= block < k:
+                raise ScheduleViolation(
+                    f"block {block} outside 0..{k - 1}", tick=tick, rule="block-range"
+                )
+            if overlay is not None and not overlay.has_edge(src, dst):
+                raise ScheduleViolation(
+                    f"transfer {src} -> {dst} is not an overlay edge",
+                    tick=tick,
+                    rule="overlay",
+                )
+            if not phantom and not masks[src] >> block & 1:
+                raise ScheduleViolation(
+                    f"node {src} sends block {block} it does not hold at "
+                    f"tick start",
+                    tick=tick,
+                    rule="causality",
+                )
+            if not phantom and masks[dst] >> block & 1 and not allow_redundant:
+                raise ScheduleViolation(
+                    f"node {dst} already holds block {block} sent by {src}",
                     tick=tick,
                     rule="usefulness",
                 )
-            incoming_blocks.add((t.dst, t.block))
-        uploads[t.src] += 1
-        downloads[t.dst] += 1
+            if not attempt_failed:
+                if (dst, block) in incoming_blocks and not allow_redundant:
+                    raise ScheduleViolation(
+                        f"node {dst} receives block {block} twice in one tick",
+                        tick=tick,
+                        rule="usefulness",
+                    )
+                incoming_blocks.add((dst, block))
+            uploads[src] += 1
+            downloads[dst] += 1
 
     for node, count in uploads.items():
         cap = model.upload_capacity(node)
@@ -417,3 +428,4 @@ def _check_tick(
                     tick=tick,
                     rule="download-capacity",
                 )
+    return max(downloads.values(), default=0)

@@ -44,7 +44,7 @@ from ..adversary.plan import AdversaryPlan
 from ..checkpoint import rng_state_from_json, rng_state_to_json
 from ..core.bandwidth import BandwidthClasses
 from ..core.errors import CheckpointError, ConfigError
-from ..core.log import RunResult, TransferLog
+from ..core.log import STREAMS, RunResult, TransferLog
 from ..core.mechanisms import CreditLimitedBarter
 from ..core.model import BandwidthModel
 from ..core.state import SwarmState
@@ -828,17 +828,8 @@ class TickKernel:
         if self.credit is not None:
             payload["credit"] = self.credit.ledger.capture_state()
         if self.keep_log:
-            payload["log"] = {
-                "transfers": [list(t) for t in self.log],
-                "failures": [list(t) for t in self.log.failures],
-            }
-            if self.adversary is not None:
-                payload["log"]["polluted"] = [  # type: ignore[index]
-                    list(t) for t in self.log.polluted
-                ]
-                payload["log"]["phantoms"] = [  # type: ignore[index]
-                    list(t) for t in self.log.phantoms
-                ]
+            streams = STREAMS if self.adversary is not None else STREAMS[:2]
+            payload["log"] = {name: self.log.as_lists(name) for name in streams}
         for axis in AXES:
             runtime = axis.state(self)
             if runtime is not None:
@@ -889,10 +880,10 @@ class TickKernel:
             log_doc = document["log"]
             log = TransferLog()
             log.extend_batch(
-                [tuple(row) for row in log_doc["transfers"]],
-                [tuple(row) for row in log_doc["failures"]],
-                [tuple(row) for row in log_doc.get("polluted", ())],
-                [tuple(row) for row in log_doc.get("phantoms", ())],
+                log_doc["transfers"],
+                log_doc["failures"],
+                log_doc.get("polluted", ()),
+                log_doc.get("phantoms", ()),
             )
             self.log = log
             if self.array is not None:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+import tracemalloc
+from collections import defaultdict
+
+import numpy as np
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.core.log import RunResult, Transfer, TransferLog
+from repro.core.log import STREAMS, RunResult, Transfer, TransferLog
 
 from ..conftest import log_from
 
@@ -102,3 +108,227 @@ class TestRunResult:
     def test_meta_preserved(self):
         r = RunResult.from_log(2, 1, log_from([(1, 0, 1, 0)]), {"algorithm": "x"})
         assert r.meta["algorithm"] == "x"
+
+
+def _four_stream_log() -> TransferLog:
+    log = TransferLog()
+    log.record(1, 0, 1, 0)
+    log.record_failure(1, 0, 2, 1)
+    log.record(2, 1, 2, 0)
+    log.record_polluted(2, 2, 1, 1)
+    log.record_phantom(3, 1, 2, 1)
+    log.record(3, 0, 2, 1)
+    return log
+
+
+STREAM_ROWS = {
+    "transfers": lambda log: list(log),
+    "failures": lambda log: list(log.failures),
+    "polluted": lambda log: list(log.polluted),
+    "phantoms": lambda log: list(log.phantoms),
+}
+
+RECORDERS = {
+    "transfers": "record",
+    "failures": "record_failure",
+    "polluted": "record_polluted",
+    "phantoms": "record_phantom",
+}
+
+# How each stream's tick-order error names it (the record path's wording).
+STREAM_LABELS = {
+    "transfers": "transfers",
+    "failures": "failures",
+    "polluted": "polluted rows",
+    "phantoms": "phantom rows",
+}
+
+
+class TestExtendBatch:
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_tick_order_error_names_the_stream(self, stream):
+        log = TransferLog()
+        log.extend_batch(**{stream: [(5, 0, 1, 0)]})
+        with pytest.raises(
+            ConfigError, match=rf"^{STREAM_LABELS[stream]} must be appended "
+            rf"in tick order \(4 after 5\)"
+        ):
+            log.extend_batch(**{stream: [(4, 0, 1, 1)]})
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_unordered_batch_names_the_stream(self, stream):
+        with pytest.raises(ConfigError, match=rf"^{STREAM_LABELS[stream]} batch"):
+            TransferLog().extend_batch(**{stream: [(2, 0, 1, 0), (1, 0, 1, 1)]})
+
+    def test_streams_keep_independent_tick_order(self):
+        log = TransferLog()
+        log.extend_batch([(5, 0, 1, 0)], [(1, 0, 2, 0)], [(2, 1, 2, 0)], [(3, 2, 1, 0)])
+        assert [log.last_tick, log.last_attempt_tick] == [5, 5]
+        assert log.failures == (Transfer(1, 0, 2, 0),)
+
+    def test_rejects_malformed_rows(self):
+        with pytest.raises(ConfigError, match="failures batch must be"):
+            TransferLog().extend_batch(failures=[(1, 0, 1)])
+
+    def test_accepts_an_integer_array(self):
+        rows = np.array([[1, 0, 1, 0], [2, 1, 2, 0]], dtype=np.int64)
+        log = TransferLog()
+        log.extend_batch(rows)
+        assert list(log) == [Transfer(1, 0, 1, 0), Transfer(2, 1, 2, 0)]
+
+
+class TestInt32Bounds:
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize(
+        "row, bad",
+        [
+            ((2**31, 0, 1, 0), 2**31),
+            ((5, 2**31, 1, 0), 2**31),
+            ((5, 0, -(2**31) - 1, 0), -(2**31) - 1),
+            ((5, 0, 1, 2**40), 2**40),
+            ((5, 0, 1, 2**70), 2**70),
+        ],
+    )
+    def test_record_rejects_loudly_and_keeps_columns_aligned(self, stream, row, bad):
+        log = _four_stream_log()
+        before = STREAM_ROWS[stream](log)
+        with pytest.raises(ConfigError, match=rf"^{stream} row value {bad} "):
+            getattr(log, RECORDERS[stream])(*row)
+        assert STREAM_ROWS[stream](log) == before
+        assert {len(c) for c in log.columns(stream)} == {len(before)}
+        getattr(log, RECORDERS[stream])(5, 1, 0, 1)
+        assert STREAM_ROWS[stream](log)[-1] == Transfer(5, 1, 0, 1)
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1, 2**70])
+    def test_extend_batch_rejects_loudly(self, stream, bad):
+        log = _four_stream_log()
+        before = STREAM_ROWS[stream](log)
+        with pytest.raises(ConfigError, match=rf"^{stream} row value {bad} "):
+            log.extend_batch(**{stream: [(4, 0, 1, 0), (4, 1, bad, 0)]})
+        assert STREAM_ROWS[stream](log) == before
+
+    def test_int32_extremes_round_trip(self):
+        lo, hi = -(2**31), 2**31 - 1
+        log = TransferLog()
+        log.record(hi, lo, hi, lo)
+        log.extend_batch(failures=[(hi, hi, lo, hi)])
+        assert log[0] == Transfer(hi, lo, hi, lo)
+        assert log.failures == (Transfer(hi, hi, lo, hi),)
+
+    def test_non_integers_are_rejected(self):
+        with pytest.raises(ConfigError, match=r"^transfers row value 1.5 "):
+            TransferLog().record(1, 0, 1, 1.5)
+        with pytest.raises(ConfigError, match=r"^polluted row value 1.5 "):
+            TransferLog().extend_batch(polluted=[(1, 0, 1, 1.5)])
+
+
+class TestColumns:
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_read_only_int32_views_equal_the_rows(self, stream):
+        log = _four_stream_log()
+        cols = log.columns(stream)
+        assert len(cols) == 4
+        for col in cols:
+            assert col.dtype == np.int32
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[:1] = 99
+        rows = [Transfer(*map(int, r)) for r in zip(*cols)]
+        assert rows == STREAM_ROWS[stream](log)
+        assert log.as_lists(stream) == [list(r) for r in rows]
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_empty_streams(self, stream):
+        cols = TransferLog().columns(stream)
+        assert [c.shape for c in cols] == [(0,)] * 4
+        assert all(c.dtype == np.int32 for c in cols)
+        assert TransferLog().as_lists(stream) == []
+
+    def test_views_share_memory_with_the_log(self):
+        log = _four_stream_log()
+        a, b = log.columns()[0], log.columns()[0]
+        assert np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_a_held_view_is_a_snapshot_and_appends_still_work(self, stream):
+        log = _four_stream_log()
+        held = log.columns(stream)
+        size = len(held[0])
+        recorder = getattr(log, RECORDERS[stream])
+        recorder(9, 0, 1, 1)
+        log.extend_batch(**{stream: [(9, 1, 0, 1)]})
+        held_again = log.columns(stream)
+        recorder(10, 0, 1, 1)
+        assert len(held[0]) == size and len(held_again[0]) == size + 2
+        assert len(log.columns(stream)[0]) == size + 3
+        assert STREAM_ROWS[stream](log)[-3:] == [
+            Transfer(9, 0, 1, 1),
+            Transfer(9, 1, 0, 1),
+            Transfer(10, 0, 1, 1),
+        ]
+
+    def test_unknown_stream(self):
+        with pytest.raises(ConfigError, match="unknown log stream"):
+            TransferLog().columns("deliveries")
+
+
+class TestColumnarStorage:
+    def test_pickle_round_trip_keeps_all_four_streams(self):
+        log = _four_stream_log()
+        back = pickle.loads(pickle.dumps(log))
+        for stream in STREAMS:
+            assert STREAM_ROWS[stream](back) == STREAM_ROWS[stream](log)
+        assert back.last_tick == log.last_tick
+        assert back.last_attempt_tick == log.last_attempt_tick
+        # Each stream's tick-order state survives too.
+        with pytest.raises(ConfigError, match=r"transfers .* \(2 after 3\)"):
+            back.record(2, 0, 1, 0)
+        back.record_failure(1, 0, 1, 0)
+        back.record_phantom(3, 2, 1, 0)
+        assert back.phantom_count == log.phantom_count + 1
+
+    def test_memory_per_row(self):
+        rows = 200_000
+        tracemalloc.start()
+        try:
+            log = TransferLog()
+            for i in range(rows):
+                log.record(1 + i // 1000, i % 997, i % 991, i % 983)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == rows
+        assert current / rows <= 24
+
+    def test_by_tick_and_uploads_match_the_row_definitions(self):
+        rnd = random.Random(11)
+        entries = sorted(
+            (rnd.randint(1, 40), rnd.randrange(50), rnd.randrange(50), rnd.randrange(9))
+            for _ in range(2000)
+        )
+        log = log_from(entries)
+        grouped: dict[int, list[Transfer]] = defaultdict(list)
+        for t in log:
+            grouped[t.tick].append(t)
+        assert log.by_tick() == dict(grouped)
+        counts = [0] * log.last_tick
+        for t in log:
+            counts[t.tick - 1] += 1
+        assert log.uploads_per_tick() == counts
+        assert [tick for tick, _ in log.groups()] == sorted(grouped)
+
+    def test_by_tick_of_every_stream(self):
+        log = _four_stream_log()
+        assert log.by_tick("failures") == {1: [Transfer(1, 0, 2, 1)]}
+        assert log.by_tick("polluted") == {2: [Transfer(2, 2, 1, 1)]}
+        assert log.by_tick("phantoms") == {3: [Transfer(3, 1, 2, 1)]}
+        assert TransferLog().by_tick() == {}
+        assert TransferLog().uploads_per_tick() == []
+
+    def test_indexing(self):
+        log = _four_stream_log()
+        assert log[-1] == Transfer(3, 0, 2, 1)
+        assert log[0:2] == [Transfer(1, 0, 1, 0), Transfer(2, 1, 2, 0)]
+        with pytest.raises(IndexError):
+            log[3]

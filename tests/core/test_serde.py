@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import execute_schedule
 from repro.core.errors import ConfigError
+from repro.core.log import TransferLog
 from repro.core.serde import (
     dump_schedule,
     load_schedule,
@@ -95,6 +96,30 @@ class TestLogAndResult:
         assert (n, k) == (8, 4)
         assert list(log) == list(result.log)
         verify_log(log, n, k)
+
+    def test_v3_document_bytes_match_the_row_comprehension(self):
+        # The columnar log must serialise exactly as the historical
+        # per-row comprehension did: same keys, same order, same ints.
+        log = TransferLog()
+        log.record(1, 0, 1, 0)
+        log.record_failure(1, 0, 2, 1)
+        log.record(2, 1, 2, 0)
+        log.record_polluted(2, 2, 1, 1)
+        log.record_phantom(3, 1, 2, 1)
+        log.record(3, 0, 2, 1)
+        expected = {
+            "format": "repro/log/v3",
+            "n": 3,
+            "k": 2,
+            "transfers": [[t.tick, t.src, t.dst, t.block] for t in log],
+            "failures": [[t.tick, t.src, t.dst, t.block] for t in log.failures],
+            "polluted": [[t.tick, t.src, t.dst, t.block] for t in log.polluted],
+            "phantom": [[t.tick, t.src, t.dst, t.block] for t in log.phantoms],
+        }
+        doc = log_to_dict(log, 3, 2)
+        assert json.dumps(doc).encode() == json.dumps(expected).encode()
+        back, _, _ = log_from_dict(json.loads(json.dumps(doc)))
+        assert json.dumps(log_to_dict(back, 3, 2)) == json.dumps(doc)
 
     def test_log_rejects_wrong_format(self):
         with pytest.raises(ConfigError):

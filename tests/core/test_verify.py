@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import pytest
 
+from repro.core.engine import execute_schedule
 from repro.core.errors import ScheduleViolation
+from repro.core.log import Transfer
 from repro.core.mechanisms import CreditLimitedBarter, StrictBarter
 from repro.core.model import BandwidthModel
 from repro.core.verify import verify_log
 from repro.overlays.paths import chain
+from repro.schedules.hypercube import hypercube_schedule
 
 from ..conftest import log_from
 
@@ -215,3 +221,35 @@ class TestVerifyMechanisms:
         verify_log(log, 3, 2, BandwidthModel.double_download(), mech)
         # Re-verifying with the same mechanism instance must not accumulate.
         verify_log(log, 3, 2, BandwidthModel.double_download(), mech)
+
+
+class TestVerifyStreaming:
+    def test_interleaved_streams_replay_in_tick_order(self):
+        # Streams active at disjoint and shared ticks merge into one
+        # tick-ordered replay: the failure at tick 2 consumes node 0's
+        # upload slot, so the tick-2 delivery from node 0 breaches it.
+        log = log_from([(1, 0, 1, 0), (2, 0, 2, 0)])
+        log.record_failure(2, 0, 3, 0)
+        with pytest.raises(ScheduleViolation) as e:
+            verify_log(log, 4, 1, require_completion=False)
+        assert (e.value.rule, e.value.tick) == ("upload-capacity", 2)
+        log = log_from([(1, 0, 1, 0), (3, 0, 2, 0)])
+        log.record_failure(2, 0, 3, 0)
+        log.record_phantom(4, 1, 3, 0)
+        report = verify_log(log, 4, 1, require_completion=False)
+        assert (report.busy_ticks, report.ticks) == (4, 4)
+        assert report.peak_downloads_per_tick == 1
+
+    def test_replay_never_materialises_the_whole_log(self):
+        # verify_log walks the log one tick at a time: its peak traced
+        # allocation stays far below what every row as a Transfer costs.
+        n, k = 256, 64
+        log = execute_schedule(hypercube_schedule(n, k)).log
+        tracemalloc.start()
+        try:
+            verify_log(log, n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_bytes = sys.getsizeof(Transfer(1, 2, 3, 4))
+        assert peak < len(log) * row_bytes / 4

@@ -53,7 +53,7 @@ def test_replicas_bit_identical_to_scalar_runs():
             result = scalar.run()
             assert result.completion_time == batch.results[i].completion_time
             assert (
-                result.log._transfers == batch.results[i].log._transfers
+                list(result.log) == list(batch.results[i].log)
             ), f"replica {i} diverges from the {backend} scalar run"
             assert np.array_equal(
                 batch.ownership[i], _masks_as_bool(scalar.kernel.state.masks, K)
