@@ -8,10 +8,10 @@ with identical :class:`~repro.adversary.AdversaryPlan` seeds per point.
 
 Each sampled adversarial client takes one of two roles (the fraction
 splits evenly): **free-riders** never upload a block, and **polluters**
-corrupt each attempted upload with probability ``adv_pollution_rate``
+corrupt each attempted upload with probability ``pollution_rate``
 (the delivery is charged and logged as ``polluted`` but the receiver
 detects it and re-fetches). The strike-based blacklist defense is armed
-(``adv_strikes`` bad deliveries ban the pair). Fraction 0 runs a *null*
+(``strikes`` bad deliveries ban the pair). Fraction 0 runs a *null*
 plan — provably bit-identical to no adversary at all — and anchors each
 mechanism's overhead baseline.
 
@@ -23,12 +23,13 @@ rational-attack damage only, which the notes call out.
 Reported per point: completion probability, mean completion time,
 goodput fraction (real deliveries over all charged attempts), pollution
 overhead against the clean baseline, the free-rider vs contributor
-completion gap, and the defense's mean time-to-first-ban.
+completion gap, and the defense's mean time-to-first-ban. The grid per
+scale, ``pollution_rate`` and ``strikes`` included, is :data:`GRIDS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..adversary.plan import AdversaryPlan
 from ..analysis.resilience import completion_probability
@@ -39,23 +40,24 @@ from ..analysis.robustness import (
     time_to_isolate,
 )
 from ..analysis.sweeps import sweep
-from ..core.mechanisms import CreditLimitedBarter
-from ..sim.registry import run_engine
+from ..core.errors import ConfigError
 from .figures import FigureResult
-from .resilience import MECHANISMS
-from .scale import Scale, resolve_scale
+from .mechanisms import MECHANISMS, run_mechanism
+from .scale import Scale, resolve_grid
 
-__all__ = ["adversary"]
+__all__ = ["adversary", "GRIDS"]
 
 
 @dataclass(frozen=True)
 class _AdversaryRun:
-    """Factory: point = (mechanism, adversary_fraction).
+    """Grid and factory: point = (mechanism, adversary_fraction).
 
     Picklable (parallel executors ship it to workers); the adversary
     plan is rebuilt per call from the point, and a fraction-0 point
     passes ``adversary=None`` — the baseline runs are bit-identical to
     plain ones (the null-plan guarantee, pinned by the golden tests).
+    The fraction axis stays out of the repr, which is the result
+    cache's fingerprint.
     """
 
     n: int
@@ -64,6 +66,18 @@ class _AdversaryRun:
     pollution_rate: float
     strikes: int
     max_ticks: int
+    fractions: tuple[float, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # Overheads divide by the fraction-0 point, so it must come first.
+        if self.fractions[:1] != (0.0,):
+            raise ConfigError(
+                "adversary grid must start at fraction 0.0 (the clean "
+                "baseline)"
+            )
+
+    def points(self) -> list[tuple[str, float]]:
+        return [(mech, frac) for mech in MECHANISMS for frac in self.fractions]
 
     def _plan(self, mechanism: str, fraction: float) -> AdversaryPlan | None:
         if not fraction:
@@ -83,31 +97,32 @@ class _AdversaryRun:
     def __call__(self, point: object, seed: int):
         mechanism, fraction = point  # type: ignore[misc]
         plan = self._plan(mechanism, float(fraction))
-        # keep_log=True everywhere: completion_gap needs per-client
-        # completion ticks, which mask-based engines only report with a
-        # retained log.
-        if mechanism == "cooperative":
-            return run_engine(
-                "randomized", self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, adversary=plan,
-            )
-        if mechanism == "credit":
-            return run_engine(
-                "randomized", self.n, self.k,
-                mechanism=CreditLimitedBarter(self.credit), rng=seed,
-                max_ticks=self.max_ticks, adversary=plan,
-            )
-        if mechanism == "strict":
-            return run_engine(
-                "exchange", self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, adversary=plan,
-            )
-        if mechanism in ("bittorrent", "coding", "async"):
-            return run_engine(
-                mechanism, self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, adversary=plan,
-            )
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+        # The log is kept: completion_gap needs per-client completion
+        # ticks, which mask-based engines only report with a retained log.
+        return run_mechanism(
+            mechanism, self.n, self.k, seed, self.credit,
+            max_ticks=self.max_ticks, adversary=plan,
+        )
+
+
+GRIDS = {
+    "full": _AdversaryRun(
+        n=192, k=96, credit=2, pollution_rate=0.3, strikes=3,
+        max_ticks=6000, fractions=(0.0, 0.1, 0.2, 0.3),
+    ),
+    "xl": _AdversaryRun(
+        n=96, k=48, credit=2, pollution_rate=0.3, strikes=3,
+        max_ticks=3000, fractions=(0.0, 0.1, 0.2, 0.3),
+    ),
+    "lite": _AdversaryRun(
+        n=48, k=24, credit=2, pollution_rate=0.3, strikes=3,
+        max_ticks=1500, fractions=(0.0, 0.15, 0.3),
+    ),
+    "ci": _AdversaryRun(
+        n=16, k=8, credit=2, pollution_rate=0.3, strikes=3,
+        max_ticks=400, fractions=(0.0, 0.25),
+    ),
+}
 
 
 def adversary(
@@ -123,21 +138,11 @@ def adversary(
     execution path; the robustness readers work off per-run meta and
     the retained logs, both preserved by the columnar summaries.
     """
-    s = resolve_scale(scale)
-    factory = _AdversaryRun(
-        n=s.adv_n,
-        k=s.adv_k,
-        credit=s.adv_credit,
-        pollution_rate=s.adv_pollution_rate,
-        strikes=s.adv_strikes,
-        max_ticks=s.adv_max_ticks,
-    )
-    points = [
-        (mech, frac) for mech in MECHANISMS for frac in s.adv_fractions
-    ]
+    s, g = resolve_grid(GRIDS, scale)
+    points = g.points()
     swept = sweep(
         points,
-        factory,
+        g,
         replicates=s.replicates,
         base_seed=base_seed,
         keep_results=True,
@@ -146,11 +151,11 @@ def adversary(
     )
 
     by_point = {p.label: p for p in swept}
-    baselines = {mech: by_point[(mech, s.adv_fractions[0])] for mech in MECHANISMS}
+    baselines = {mech: by_point[(mech, g.fractions[0])] for mech in MECHANISMS}
 
     rows: list[dict[str, object]] = []
     series: dict[str, list[tuple[float, float]]] = {}
-    top = max(s.adv_fractions)
+    top = max(g.fractions)
     for mech, frac in points:
         point = by_point[(mech, frac)]
         results = point.results
@@ -176,7 +181,7 @@ def adversary(
         "rational peers; this sweep measures outright hostile ones",
         "each adversarial client either free-rides or pollutes (the "
         f"fraction splits evenly; pollution rate "
-        f"{s.adv_pollution_rate}, strike threshold {s.adv_strikes}); "
+        f"{g.pollution_rate}, strike threshold {g.strikes}); "
         "fraction 0 is a null plan, bit-identical to no adversary",
         "coding is free-riders-only (adversary_support honesty: a "
         "polluted coded block would desync the coding-vector stream), "
@@ -188,8 +193,8 @@ def adversary(
     return FigureResult(
         name="Adversary",
         title=(
-            f"adversarial clients, n={s.adv_n}, k={s.adv_k}, "
-            f"credit s={s.adv_credit}"
+            f"adversarial clients, n={g.n}, k={g.k}, "
+            f"credit s={g.credit}"
         ),
         scale=s.name,
         columns=(

@@ -26,7 +26,7 @@ each over the non-uniform mixes on its honoring mechanism:
   (``tier_weighted_unchoke=True``) on an upload-tiered variant of the
   mix (``fast`` uploads 2/tick), so fast peers win unchoke slots;
 * **paid** — credit-limited barter where the ``fast`` tier has paid for
-  a ``het_paid_multiplier`` x credit line on the barter ledger
+  a ``paid_multiplier`` x credit line on the barter ledger
   (:class:`~repro.core.mechanisms.CreditLimitedBarter` tier
   multipliers).
 
@@ -36,11 +36,13 @@ per-replica percentile samples with t-based 95% CIs — see
 :mod:`repro.analysis.heterogeneity`). The headline: per-tier
 completion-time percentiles under strict barter vs cooperative — how
 much longer the slow tier waits when it must pay for blocks in kind.
+The grid per scale (``mixes``, ``paid_multiplier``, telemetry
+``window``) is :data:`GRIDS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..analysis.heterogeneity import (
     fold_results,
@@ -50,22 +52,16 @@ from ..analysis.heterogeneity import (
 )
 from ..analysis.sweeps import sweep
 from ..core.bandwidth import BandwidthClasses, BandwidthTier
+from ..core.errors import ConfigError
 from ..core.mechanisms import CreditLimitedBarter
-from ..sim.registry import run_engine
 from ..telemetry import TelemetrySpec
 from .figures import FigureResult
-from .scale import Scale, resolve_scale
+from .mechanisms import MECHANISMS, run_mechanism
+from .scale import Scale, resolve_grid
 
-__all__ = ["heterogeneity", "mix_spec", "MECHANISMS", "MIXES", "POLICIES"]
-
-MECHANISMS = (
-    "cooperative",
-    "credit",
-    "strict",
-    "bittorrent",
-    "coding",
-    "async",
-)
+__all__ = [
+    "heterogeneity", "mix_spec", "GRIDS", "MECHANISMS", "MIXES", "POLICIES",
+]
 
 #: Named tier mixes: ``name -> ((tier, share, upload, download), ...)``.
 #: The upload column only takes effect in the upload-tiered variant used
@@ -115,13 +111,19 @@ def mix_spec(name: str, uploads: bool = False) -> BandwidthClasses:
 
 @dataclass(frozen=True)
 class _HeterogeneityRun:
-    """Factory: point = (mechanism, mix, policy).
+    """Grid and factory: point = (mechanism, mix, policy).
+
+    ``mixes`` names tier mixes from :data:`MIXES` ("uniform", the
+    null-spec baseline, first); ``window`` is the telemetry window width
+    (ticks) and ``paid_multiplier`` the credit multiplier the paid fast
+    tier buys on the barter ledger.
 
     Picklable; the bandwidth spec is rebuilt per call from the mix name
     (identical points always carry identical specs) and the kernel
     realizes tier assignment from the run's own RNG, so replicates see
     independent tier draws. Telemetry is armed on every run — the
-    digest is the experiment's entire result surface.
+    digest is the experiment's entire result surface. The mix axis
+    stays out of the repr, which is the result cache's fingerprint.
     """
 
     n: int
@@ -130,55 +132,67 @@ class _HeterogeneityRun:
     paid_multiplier: int
     window: int
     max_ticks: int
+    mixes: tuple[str, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if self.mixes[:1] != ("uniform",):
+            raise ConfigError(
+                "heterogeneity grid must start at the 'uniform' baseline mix"
+            )
+        unknown = sorted(set(self.mixes) - set(MIXES))
+        if unknown:
+            raise ConfigError(
+                f"unknown tier mixes {unknown}; choose from {sorted(MIXES)}"
+            )
+
+    def points(self) -> list[tuple[str, str, str]]:
+        points = [
+            (mech, mix, "equal") for mech in MECHANISMS for mix in self.mixes
+        ]
+        for policy, mech in POLICIES.items():
+            points.extend(
+                (mech, mix, policy) for mix in self.mixes if mix != "uniform"
+            )
+        return points
 
     def __call__(self, point: object, seed: int):
         mechanism, mix, policy = point  # type: ignore[misc]
         spec = mix_spec(str(mix), uploads=(policy == "priority"))
-        common = dict(
-            rng=seed,
+        options = dict(
             max_ticks=self.max_ticks,
             bandwidth=None if spec.is_null else spec,
             telemetry=TelemetrySpec(window=self.window),
         )
-        if mechanism == "cooperative":
-            return run_engine("randomized", self.n, self.k, **common)
-        if mechanism == "credit":
-            multipliers = (
-                {PAID_TIER: self.paid_multiplier} if policy == "paid" else None
+        if mechanism == "credit" and policy == "paid":
+            options["mechanism"] = CreditLimitedBarter(
+                self.credit,
+                tier_multipliers={PAID_TIER: self.paid_multiplier},
             )
-            return run_engine(
-                "randomized",
-                self.n,
-                self.k,
-                mechanism=CreditLimitedBarter(
-                    self.credit, tier_multipliers=multipliers
-                ),
-                **common,
-            )
-        if mechanism == "strict":
-            return run_engine("exchange", self.n, self.k, **common)
         if mechanism == "bittorrent":
-            return run_engine(
-                "bittorrent",
-                self.n,
-                self.k,
-                tier_weighted_unchoke=(policy == "priority"),
-                **common,
-            )
-        if mechanism in ("coding", "async"):
-            return run_engine(str(mechanism), self.n, self.k, **common)
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-
-
-def _points(s: Scale) -> list[tuple[str, str, str]]:
-    points = [
-        (mech, mix, "equal") for mech in MECHANISMS for mix in s.het_mixes
-    ]
-    for policy, mech in POLICIES.items():
-        points.extend(
-            (mech, mix, policy) for mix in s.het_mixes if mix != "uniform"
+            options["tier_weighted_unchoke"] = policy == "priority"
+        return run_mechanism(
+            mechanism, self.n, self.k, seed, self.credit, **options
         )
-    return points
+
+
+GRIDS = {
+    "full": _HeterogeneityRun(
+        n=192, k=96, credit=2, paid_multiplier=3, window=32,
+        max_ticks=6000, mixes=("uniform", "broadband", "dsl-heavy"),
+    ),
+    "xl": _HeterogeneityRun(
+        n=128, k=64, credit=2, paid_multiplier=3, window=24,
+        max_ticks=3000, mixes=("uniform", "broadband", "dsl-heavy"),
+    ),
+    "lite": _HeterogeneityRun(
+        n=64, k=32, credit=2, paid_multiplier=3, window=16,
+        max_ticks=1500, mixes=("uniform", "broadband", "dsl-heavy"),
+    ),
+    "ci": _HeterogeneityRun(
+        n=20, k=10, credit=2, paid_multiplier=3, window=6,
+        max_ticks=400, mixes=("uniform", "broadband"),
+    ),
+}
 
 
 def heterogeneity(
@@ -196,19 +210,11 @@ def heterogeneity(
     batched execution path; telemetry digests ride the summaries' meta,
     so the folded statistics are identical.
     """
-    s = resolve_scale(scale)
-    factory = _HeterogeneityRun(
-        n=s.het_n,
-        k=s.het_k,
-        credit=s.het_credit,
-        paid_multiplier=s.het_paid_multiplier,
-        window=s.het_window,
-        max_ticks=s.het_max_ticks,
-    )
-    points = _points(s)
+    s, g = resolve_grid(GRIDS, scale)
+    points = g.points()
     swept = sweep(
         points,
-        factory,
+        g,
         replicates=s.replicates,
         base_seed=base_seed,
         keep_results=True,
@@ -223,7 +229,7 @@ def heterogeneity(
     # non-uniform mix, under equal service.
     slow_p50: dict[str, float] = {}
     headline_mix = next(
-        (m for m in s.het_mixes if m != "uniform"), s.het_mixes[0]
+        (m for m in g.mixes if m != "uniform"), g.mixes[0]
     )
     for mech, mix, policy in points:
         results = by_point[(mech, mix, policy)].results
@@ -284,7 +290,7 @@ def heterogeneity(
             "strict",
         ):
             series.update(
-                _throughput_series(mech, digests, s.het_window)
+                _throughput_series(mech, digests, g.window)
             )
 
     notes = [
@@ -300,7 +306,7 @@ def heterogeneity(
         "mechanism accepts the same spec; the priority policy runs "
         "bittorrent on an upload-tiered variant (fast uploads 2), the "
         "paid policy gives the fast tier a "
-        f"{s.het_paid_multiplier}x credit line",
+        f"{g.paid_multiplier}x credit line",
     ]
     if "strict" in slow_p50 and "cooperative" in slow_p50:
         gap = slow_p50["strict"] / slow_p50["cooperative"]
@@ -313,8 +319,8 @@ def heterogeneity(
     return FigureResult(
         name="Heterogeneity",
         title=(
-            f"bandwidth tier mixes, n={s.het_n}, k={s.het_k}, "
-            f"credit s={s.het_credit}, telemetry window={s.het_window}"
+            f"bandwidth tier mixes, n={g.n}, k={g.k}, "
+            f"credit s={g.credit}, telemetry window={g.window}"
         ),
         scale=s.name,
         columns=(

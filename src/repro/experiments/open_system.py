@@ -8,16 +8,16 @@ experiment reruns the paper's mechanism comparison under the
 :mod:`repro.workloads` generator, across three scenarios:
 
 * **flash** — a small initial cohort, background Poisson arrivals, and a
-  crowd of ``os_flash_size`` clients landing together at
-  ``os_flash_tick``. The regime where strict barter hurts most: every
+  crowd of ``flash_size`` clients landing together at
+  ``flash_tick``. The regime where strict barter hurts most: every
   crowd member arrives empty-handed, so pairs have nothing mutual to
   trade and the server's one free seed per tick is the only way in,
   while cooperative swarms absorb the crowd in parallel.
 * **steady** — Poisson arrivals with steady-state departures: a client
-  departs ``os_holdover`` ticks after completing (its copies leave with
+  departs ``holdover`` ticks after completing (its copies leave with
   it), so capacity must come from peers still mid-download.
 * **diurnal** — Poisson arrivals with half the swarm on an on/off
-  availability cycle (period ``os_period``, uptime ``os_uptime``);
+  availability cycle (period ``period``, uptime ``uptime``);
   napping peers keep their blocks but serve nothing while away.
 
 The headline metric is the **sojourn time** (join to completion, the
@@ -25,12 +25,13 @@ open-system replacement for batch completion time), reported as pooled
 p50/p95 plus a mean with 95% CI, alongside the completed fraction, the
 time-averaged swarm size, and the seed-capacity share. The flash
 scenario also emits per-mechanism swarm-size series — the crowd's
-drain-out curve — at the highest arrival rate.
+drain-out curve — at the highest arrival rate. The grid per scale
+(``flash_size``, ``holdover``, ``period`` ...) is :data:`GRIDS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..analysis.opensys import (
     mean_swarm_size,
@@ -41,35 +42,31 @@ from ..analysis.opensys import (
 )
 from ..analysis.stats import summarize
 from ..analysis.sweeps import sweep
-from ..core.mechanisms import CreditLimitedBarter
-from ..sim.registry import run_engine
+from ..core.errors import ConfigError
 from ..workloads import AvailabilityProfile, FlashCrowd, WorkloadSpec
 from .figures import FigureResult
-from .scale import Scale, resolve_scale
+from .mechanisms import MECHANISMS, run_mechanism
+from .scale import Scale, resolve_grid
 
-__all__ = ["open_system"]
-
-MECHANISMS = (
-    "cooperative",
-    "credit",
-    "strict",
-    "bittorrent",
-    "coding",
-    "async",
-)
+__all__ = ["open_system", "GRIDS"]
 
 SCENARIOS = ("flash", "steady", "diurnal")
 
 
 @dataclass(frozen=True)
 class _OpenSystemRun:
-    """Factory: point = (mechanism, arrival_rate, scenario).
+    """Grid and factory: point = (mechanism, arrival_rate, scenario).
+
+    ``rates`` is the Poisson arrival-rate axis (clients per tick) and
+    ``initial`` the fraction of clients present at tick 0; the rest form
+    the arrival pool.
 
     Picklable (parallel executors ship it to workers); the workload spec
-    is rebuilt per call from the point and the frozen scale parameters,
-    so identical points always carry identical specs — and the kernel
+    is rebuilt per call from the point and the frozen parameters, so
+    identical points always carry identical specs — and the kernel
     derives the compile seed from the run's own RNG, so replicates see
-    independent arrival draws.
+    independent arrival draws. The rate axis stays out of the repr,
+    which is the result cache's fingerprint.
     """
 
     n: int
@@ -84,6 +81,19 @@ class _OpenSystemRun:
     period: int
     uptime: float
     max_ticks: int
+    rates: tuple[float, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.rates:
+            raise ConfigError("open-system grid needs at least one rate")
+
+    def points(self) -> list[tuple[str, float, str]]:
+        return [
+            (mech, rate, scenario)
+            for mech in MECHANISMS
+            for rate in self.rates
+            for scenario in SCENARIOS
+        ]
 
     def spec_for(self, rate: float, scenario: str) -> WorkloadSpec:
         """The workload spec one point describes (shared with tests)."""
@@ -120,49 +130,41 @@ class _OpenSystemRun:
     def __call__(self, point: object, seed: int):
         mechanism, rate, scenario = point  # type: ignore[misc]
         spec = self.spec_for(float(rate), str(scenario))
-        # Engines by registry name, mirroring the resilience experiment's
-        # dispatch. keep_log=False everywhere: with a workload attached
-        # the membership runtime is the authority on completion ticks, so
-        # no engine needs the transfer log to report sojourns.
-        if mechanism == "cooperative":
-            return run_engine(
-                "randomized", self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, keep_log=False, workload=spec,
-            )
-        if mechanism == "credit":
-            return run_engine(
-                "randomized", self.n, self.k,
-                mechanism=CreditLimitedBarter(self.credit), rng=seed,
-                max_ticks=self.max_ticks, keep_log=False, workload=spec,
-            )
-        if mechanism == "strict":
-            return run_engine(
-                "exchange", self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, keep_log=False, workload=spec,
-            )
-        if mechanism in ("bittorrent", "coding", "async"):
-            return run_engine(
-                mechanism, self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, keep_log=False, workload=spec,
-            )
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+        # keep_log=False everywhere: with a workload attached the
+        # membership runtime is the authority on completion ticks, so no
+        # engine needs the transfer log to report sojourns.
+        return run_mechanism(
+            mechanism, self.n, self.k, seed, self.credit,
+            max_ticks=self.max_ticks, keep_log=False, workload=spec,
+        )
 
 
-def _factory(s: Scale) -> _OpenSystemRun:
-    return _OpenSystemRun(
-        n=s.os_n,
-        k=s.os_k,
-        credit=s.os_credit,
-        initial=s.os_initial,
-        arrival_stop=s.os_arrival_stop,
-        flash_tick=s.os_flash_tick,
-        flash_size=s.os_flash_size,
-        flash_width=s.os_flash_width,
-        holdover=s.os_holdover,
-        period=s.os_period,
-        uptime=s.os_uptime,
-        max_ticks=s.os_max_ticks,
-    )
+GRIDS = {
+    "full": _OpenSystemRun(
+        n=256, k=128, credit=2, initial=0.25, arrival_stop=300,
+        flash_tick=40, flash_size=96, flash_width=5, holdover=10,
+        period=40, uptime=0.7, max_ticks=6000,
+        rates=(0.25, 0.5, 1.0, 2.0),
+    ),
+    "xl": _OpenSystemRun(
+        n=128, k=64, credit=2, initial=0.25, arrival_stop=150,
+        flash_tick=25, flash_size=48, flash_width=4, holdover=8,
+        period=30, uptime=0.7, max_ticks=3000,
+        rates=(0.25, 0.5, 1.0, 2.0),
+    ),
+    "lite": _OpenSystemRun(
+        n=64, k=32, credit=2, initial=0.25, arrival_stop=80,
+        flash_tick=15, flash_size=24, flash_width=3, holdover=6,
+        period=20, uptime=0.7, max_ticks=1500,
+        rates=(0.2, 0.5, 1.0),
+    ),
+    "ci": _OpenSystemRun(
+        n=24, k=8, credit=2, initial=0.25, arrival_stop=30,
+        flash_tick=8, flash_size=8, flash_width=2, holdover=4,
+        period=12, uptime=0.75, max_ticks=400,
+        rates=(0.2, 0.6),
+    ),
+}
 
 
 def _mean_series(results) -> list[tuple[float, float]]:
@@ -197,17 +199,11 @@ def open_system(
     :class:`~repro.campaign.context.CampaignConfig` (the CLI's
     ``--replicas-per-batch``).
     """
-    s = resolve_scale(scale)
-    factory = _factory(s)
-    points = [
-        (mech, rate, scenario)
-        for mech in MECHANISMS
-        for rate in s.os_rates
-        for scenario in SCENARIOS
-    ]
+    s, g = resolve_grid(GRIDS, scale)
+    points = g.points()
     swept = sweep(
         points,
-        factory,
+        g,
         replicates=s.replicates,
         base_seed=base_seed,
         keep_results=True,
@@ -218,7 +214,7 @@ def open_system(
 
     rows: list[dict[str, object]] = []
     series: dict[str, list[tuple[float, float]]] = {}
-    top_rate = max(s.os_rates)
+    top_rate = max(g.rates)
     flash_p95: dict[str, float] = {}
     for mech, rate, scenario in points:
         point = by_point[(mech, rate, scenario)]
@@ -268,8 +264,8 @@ def open_system(
         "steady-state departures) via repro.workloads",
         "sojourn time = join tick to completion tick; 'served' is the "
         "fraction of joined clients that completed before the run ended",
-        f"flash scenario: {s.os_flash_size} clients land together at "
-        f"tick {s.os_flash_tick} over width {s.os_flash_width} on top of "
+        f"flash scenario: {g.flash_size} clients land together at "
+        f"tick {g.flash_tick} over width {g.flash_width} on top of "
         "the background Poisson rate",
     ]
     if "strict" in flash_p95 and "cooperative" in flash_p95:
@@ -283,8 +279,8 @@ def open_system(
     return FigureResult(
         name="Open system",
         title=(
-            f"open-system workloads, n={s.os_n}, k={s.os_k}, "
-            f"initial={s.os_initial:g}, credit s={s.os_credit}"
+            f"open-system workloads, n={g.n}, k={g.k}, "
+            f"initial={g.initial:g}, credit s={g.credit}"
         ),
         scale=s.name,
         columns=(

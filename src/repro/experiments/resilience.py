@@ -10,7 +10,7 @@ All six registry mechanisms run over the same loss x crash grid on a
 complete graph, with identical fault seeds per grid point:
 
 * **cooperative** — uploads freely; faults only cost repeated attempts;
-* **credit-limited barter** (``s`` from the scale) — a crashed node that
+* **credit-limited barter** (``s`` from the grid) — a crashed node that
   rejoins empty-handed can still be fed ``s`` blocks per neighbor on
   credit, so recovery is gated but not blocked;
 * **strict barter** (randomized exchange) — a rejoining node with
@@ -24,7 +24,7 @@ complete graph, with identical fault seeds per grid point:
 * **async** — the continuous-time engine on kernel event windows, same
   crash/rejoin semantics judged per unit-time window.
 
-Crash faults use crash-rejoin (delay and retention from the scale): a
+Crash faults use crash-rejoin (delay and retention from the grid): a
 crash permanently destroys a sampled fraction of a node's blocks, which
 can make blocks server-only again. Reported per point: completion
 probability, mean completion time of completed runs, overhead against
@@ -34,7 +34,7 @@ the abort breakdown (proven deadlock / stall / tick-guard).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..analysis.resilience import (
     abort_breakdown,
@@ -43,31 +43,28 @@ from ..analysis.resilience import (
     wasted_upload_fraction,
 )
 from ..analysis.sweeps import sweep
-from ..core.mechanisms import CreditLimitedBarter
+from ..core.errors import ConfigError
 from ..faults.plan import FaultPlan
-from ..sim.registry import run_engine
 from .figures import FigureResult
-from .scale import Scale, resolve_scale
+from .mechanisms import MECHANISMS, run_mechanism
+from .scale import Scale, resolve_grid
 
-__all__ = ["resilience"]
-
-MECHANISMS = (
-    "cooperative",
-    "credit",
-    "strict",
-    "bittorrent",
-    "coding",
-    "async",
-)
+__all__ = ["resilience", "GRIDS"]
 
 
 @dataclass(frozen=True)
 class _ResilienceRun:
-    """Factory: point = (mechanism, loss_rate, crash_rate).
+    """Grid and factory: point = (mechanism, loss_rate, crash_rate).
+
+    Crashes are a sustained per-tick hazard (uncapped unless
+    ``max_crashes``), so completion requires surviving a crash-free
+    window — the regime that separates the mechanisms' repair
+    bandwidth. Crash rates scale inversely with ``n``.
 
     Picklable (parallel executors ship it to workers); the fault plan is
     rebuilt per call from the point, and a (0, 0) point yields a *null*
-    plan — the baseline runs are bit-identical to plain ones.
+    plan — the baseline runs are bit-identical to plain ones. The axes
+    stay out of the repr, which is the result cache's fingerprint.
     """
 
     n: int
@@ -77,6 +74,24 @@ class _ResilienceRun:
     retention: float
     max_crashes: int | None
     max_ticks: int
+    loss_rates: tuple[float, ...] = field(repr=False)
+    crash_rates: tuple[float, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # Overheads divide by the (0, 0) point, so it must come first.
+        if self.loss_rates[:1] != (0.0,) or self.crash_rates[:1] != (0.0,):
+            raise ConfigError(
+                "resilience grid must start at loss 0.0 and crash 0.0 "
+                "(the fault-free baseline)"
+            )
+
+    def points(self) -> list[tuple[str, float, float]]:
+        return [
+            (mech, loss, crash)
+            for mech in MECHANISMS
+            for loss in self.loss_rates
+            for crash in self.crash_rates
+        ]
 
     def __call__(self, point: object, seed: int):
         mechanism, loss, crash = point  # type: ignore[misc]
@@ -87,33 +102,40 @@ class _ResilienceRun:
             rejoin_retention=self.retention if crash else 0.0,
             max_crashes=self.max_crashes,
         )
-        # Engines are constructed by registry name; the kwargs mirror the
-        # old per-mechanism wrappers exactly, so the seeds' draw order —
-        # and therefore every number in the figure — is unchanged.
-        if mechanism == "cooperative":
-            return run_engine(
-                "randomized", self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, keep_log=False, faults=plan,
-            )
-        if mechanism == "credit":
-            return run_engine(
-                "randomized", self.n, self.k,
-                mechanism=CreditLimitedBarter(self.credit), rng=seed,
-                max_ticks=self.max_ticks, keep_log=False, faults=plan,
-            )
-        if mechanism == "strict":
-            return run_engine(
-                "exchange", self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, faults=plan,
-            )
-        if mechanism in ("bittorrent", "coding", "async"):
-            # Registry engines by their own names — every engine carries
-            # the full fault model, so the same plan applies verbatim.
-            return run_engine(
-                mechanism, self.n, self.k, rng=seed,
-                max_ticks=self.max_ticks, keep_log=False, faults=plan,
-            )
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+        # Every engine carries the full fault model, so the same plan
+        # applies verbatim.
+        return run_mechanism(
+            mechanism, self.n, self.k, seed, self.credit,
+            max_ticks=self.max_ticks, keep_log=False, faults=plan,
+        )
+
+
+GRIDS = {
+    "full": _ResilienceRun(
+        n=256, k=128, credit=2, rejoin_delay=16, retention=0.25,
+        max_crashes=None, max_ticks=6000,
+        loss_rates=(0.0, 0.05, 0.15, 0.3),
+        crash_rates=(0.0, 0.00025, 0.0005),
+    ),
+    "xl": _ResilienceRun(
+        n=128, k=64, credit=2, rejoin_delay=12, retention=0.25,
+        max_crashes=None, max_ticks=3000,
+        loss_rates=(0.0, 0.05, 0.15, 0.3),
+        crash_rates=(0.0, 0.0005, 0.001),
+    ),
+    "lite": _ResilienceRun(
+        n=64, k=32, credit=2, rejoin_delay=10, retention=0.25,
+        max_crashes=None, max_ticks=1500,
+        loss_rates=(0.0, 0.05, 0.15, 0.3),
+        crash_rates=(0.0, 0.001, 0.002),
+    ),
+    "ci": _ResilienceRun(
+        n=24, k=12, credit=2, rejoin_delay=6, retention=0.25,
+        max_crashes=None, max_ticks=600,
+        loss_rates=(0.0, 0.1, 0.25),
+        crash_rates=(0.0, 0.015),
+    ),
+}
 
 
 def resilience(
@@ -129,25 +151,11 @@ def resilience(
     all preserved by the columnar summaries, so the figure is identical.
     ``None`` defers to the ambient campaign configuration.
     """
-    s = resolve_scale(scale)
-    factory = _ResilienceRun(
-        n=s.res_n,
-        k=s.res_k,
-        credit=s.res_credit,
-        rejoin_delay=s.res_rejoin_delay,
-        retention=s.res_retention,
-        max_crashes=s.res_max_crashes,
-        max_ticks=s.res_max_ticks,
-    )
-    points = [
-        (mech, loss, crash)
-        for mech in MECHANISMS
-        for loss in s.res_loss_rates
-        for crash in s.res_crash_rates
-    ]
+    s, g = resolve_grid(GRIDS, scale)
+    points = g.points()
     swept = sweep(
         points,
-        factory,
+        g,
         replicates=s.replicates,
         base_seed=base_seed,
         keep_results=True,
@@ -157,7 +165,7 @@ def resilience(
 
     by_point = {p.label: p for p in swept}
     baselines = {
-        mech: by_point[(mech, s.res_loss_rates[0], s.res_crash_rates[0])]
+        mech: by_point[(mech, g.loss_rates[0], g.crash_rates[0])]
         for mech in MECHANISMS
     }
 
@@ -183,7 +191,7 @@ def resilience(
                 "stall": breakdown["stall"] + breakdown["max-ticks"],
             }
         )
-        if crash == max(s.res_crash_rates):
+        if crash == max(g.crash_rates):
             series.setdefault(f"{mech} (crash={crash})", []).append(
                 (float(loss), prob)
             )
@@ -198,19 +206,19 @@ def resilience(
         "all six registry mechanisms sweep the same grid with identical "
         "fault seeds — bittorrent, coding and async graduated to full "
         "crash/rejoin support (see the fault parity table in docs/API.md)",
-        f"crash points use crash-rejoin: delay {s.res_rejoin_delay} ticks, "
-        f"retention {s.res_retention}, "
+        f"crash points use crash-rejoin: delay {g.rejoin_delay} ticks, "
+        f"retention {g.retention}, "
         + (
-            f"at most {s.res_max_crashes} crashes"
-            if s.res_max_crashes is not None
+            f"at most {g.max_crashes} crashes"
+            if g.max_crashes is not None
             else "sustained hazard (no crash cap)"
         ),
     ]
     return FigureResult(
         name="Resilience",
         title=(
-            f"fault injection, n={s.res_n}, k={s.res_k}, "
-            f"credit s={s.res_credit}"
+            f"fault injection, n={g.n}, k={g.k}, "
+            f"credit s={g.credit}"
         ),
         scale=s.name,
         columns=(

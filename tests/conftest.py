@@ -29,3 +29,27 @@ def schedule_from(
     for tick, src, dst, block in entries:
         s.add(tick, src, dst, block)
     return s
+
+
+@pytest.fixture(scope="session")
+def scenario_ci():
+    """Each scenario experiment's ``ci`` run, made once per session.
+
+    Returns ``run(name) -> (FigureResult, executed task count)``; every
+    run goes through a fresh :class:`SerialExecutor`, so the count is
+    the number of simulations the experiment scheduled.
+    """
+    from repro.campaign import SerialExecutor, configured
+    from repro.experiments.runner import EXPERIMENTS
+
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            executor = SerialExecutor()
+            with configured(executor=executor):
+                result = EXPERIMENTS[name](scale="ci")
+            runs[name] = (result, executor.last_stats.executed)
+        return runs[name]
+
+    return run

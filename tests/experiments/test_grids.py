@@ -1,0 +1,102 @@
+"""The scenario experiments' ``GRIDS`` tables and their invariants.
+
+Each scenario experiment owns one grid per scale; the grid is also the
+run factory, so its repr is the result cache's fingerprint. The pins
+below were taken before the grids moved out of :class:`Scale`: a change
+to any of them orphans existing caches or changes published rows.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from repro.campaign.cache import fn_fingerprint
+from repro.core.errors import ConfigError
+from repro.experiments.adversary import GRIDS as ADV, adversary
+from repro.experiments.heterogeneity import GRIDS as HET
+from repro.experiments.open_system import GRIDS as OS
+from repro.experiments.resilience import GRIDS as RES
+from repro.experiments.runner import _to_jsonable
+from repro.experiments.scale import SCALES, resolve_grid, sweep_task_counts
+
+GRIDS = {"resilience": RES, "open-system": OS, "adversary": ADV, "heterogeneity": HET}
+
+FINGERPRINTS = {
+    "resilience": (
+        "repro.experiments.resilience._ResilienceRun(n=24, k=12, credit=2, "
+        "rejoin_delay=6, retention=0.25, max_crashes=None, max_ticks=600)"
+    ),
+    "open-system": (
+        "repro.experiments.open_system._OpenSystemRun(n=24, k=8, credit=2, "
+        "initial=0.25, arrival_stop=30, flash_tick=8, flash_size=8, "
+        "flash_width=2, holdover=4, period=12, uptime=0.75, max_ticks=400)"
+    ),
+    "adversary": (
+        "repro.experiments.adversary._AdversaryRun(n=16, k=8, credit=2, "
+        "pollution_rate=0.3, strikes=3, max_ticks=400)"
+    ),
+    "heterogeneity": (
+        "repro.experiments.heterogeneity._HeterogeneityRun(n=20, k=10, "
+        "credit=2, paid_multiplier=3, window=6, max_ticks=400)"
+    ),
+}
+
+#: sha256 of ``repro-experiments <name> --scale ci --json`` output.
+JSON_SHA256 = {
+    "resilience": "eaad141d9dd28f87bff2e11d8b9d9ee13f3bf44144c7b7c896f843302bec4d00",
+    "open-system": "84d81b21a521bc48e4833a7fc90e42c203cea261f2d95343be7bd99ec98b2324",
+    "adversary": "ca08d3217e6cd481522acfde6ddadf0595ad609aee368371488e497498d2c5af",
+    "heterogeneity": "d8f52f7f358e5f921dd28d77d79a25476544e144f728c3513164746d7439dede",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+class TestPins:
+    def test_ci_fingerprint(self, name):
+        assert fn_fingerprint(GRIDS[name]["ci"]) == FINGERPRINTS[name]
+
+    def test_ci_json_digest(self, scenario_ci, name):
+        result, _ = scenario_ci(name)
+        text = json.dumps([_to_jsonable(result)], indent=2, default=str)
+        assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[name]
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_one_grid_per_scale_growing_to_full(self, name):
+        grids = GRIDS[name]
+        assert set(grids) == set(SCALES)
+        ns = [grids[s].n for s in ("ci", "lite", "xl", "full")]
+        assert ns == sorted(set(ns))
+
+    def test_unknown_scale_names_the_known_ones(self):
+        custom = dataclasses.replace(SCALES["ci"], name="tiny")
+        with pytest.raises(ConfigError, match="'tiny'.*'ci'"):
+            resolve_grid(RES, custom)
+        with pytest.raises(ConfigError, match="known scales"):
+            adversary(scale=custom)
+        with pytest.raises(ConfigError, match="known scales"):
+            sweep_task_counts(custom)
+
+
+class TestBadGrids:
+    @pytest.mark.parametrize(
+        "grids, change",
+        [
+            (RES, {"loss_rates": (0.1, 0.0)}),
+            (RES, {"crash_rates": (0.015, 0.0)}),
+            (RES, {"loss_rates": ()}),
+            (ADV, {"fractions": (0.25, 0.0)}),
+            (ADV, {"fractions": ()}),
+            (OS, {"rates": ()}),
+            (HET, {"mixes": ("broadband", "uniform")}),
+            (HET, {"mixes": ("uniform", "satellite")}),
+        ],
+    )
+    def test_rejected_at_construction(self, grids, change):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(grids["ci"], **change)

@@ -5,30 +5,30 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.heterogeneity import (
+    GRIDS,
     MECHANISMS,
     MIXES,
     POLICIES,
-    heterogeneity,
     mix_spec,
 )
 from repro.experiments.scale import resolve_scale, sweep_task_counts
 
 
 @pytest.fixture(scope="module")
-def result():
-    return heterogeneity(scale="ci")
+def result(scenario_ci):
+    return scenario_ci("heterogeneity")[0]
 
 
 class TestHeterogeneitySmoke:
     def test_covers_full_grid(self, result):
-        s = resolve_scale("ci")
+        g = GRIDS["ci"]
         cells = {(r["mechanism"], r["mix"], r["policy"]) for r in result.rows}
         expected = {
-            (mech, mix, "equal") for mech in MECHANISMS for mix in s.het_mixes
+            (mech, mix, "equal") for mech in MECHANISMS for mix in g.mixes
         } | {
             (mech, mix, policy)
             for policy, mech in POLICIES.items()
-            for mix in s.het_mixes
+            for mix in g.mixes
             if mix != "uniform"
         }
         assert cells == expected
@@ -44,8 +44,7 @@ class TestHeterogeneitySmoke:
         assert tiers == {"default"}
 
     def test_tiered_rows_cover_every_tier(self, result):
-        s = resolve_scale("ci")
-        for mix in s.het_mixes:
+        for mix in GRIDS["ci"].mixes:
             if mix == "uniform":
                 continue
             names = {name for name, *_ in MIXES[mix]}
@@ -82,8 +81,7 @@ class TestTieredBarterTax:
         strict barter's slow-tier p50 completion sits above
         cooperative's (slow nodes must pay in kind at a rate their own
         download starves)."""
-        s = resolve_scale("ci")
-        mix = next(m for m in s.het_mixes if m != "uniform")
+        mix = next(m for m in GRIDS["ci"].mixes if m != "uniform")
         by = {
             (r["mechanism"], r["tier"]): r
             for r in result.rows

@@ -4,25 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.open_system import (
-    MECHANISMS,
-    SCENARIOS,
-    _factory,
-    open_system,
-)
-from repro.experiments.scale import resolve_scale
+from repro.experiments.open_system import GRIDS, MECHANISMS, SCENARIOS
 from repro.workloads import WorkloadSpec
 
 
 @pytest.fixture(scope="module")
-def result():
-    return open_system(scale="ci")
+def result(scenario_ci):
+    return scenario_ci("open-system")[0]
 
 
 class TestOpenSystemSmoke:
     def test_covers_full_grid(self, result):
-        s = resolve_scale("ci")
-        assert len(result.rows) == len(MECHANISMS) * len(s.os_rates) * len(
+        assert len(result.rows) == len(MECHANISMS) * len(GRIDS["ci"].rates) * len(
             SCENARIOS
         )
         seen = {(r["mechanism"], r["scenario"]) for r in result.rows}
@@ -40,7 +33,6 @@ class TestOpenSystemSmoke:
             assert row["p50 soj"] <= row["p95 soj"], row
 
     def test_flash_series_present_with_ci(self, result):
-        s = resolve_scale("ci")
         # Swarm-size drain-out curves for the flash scenario, one per
         # mechanism, plus a CI column on every row.
         for mech in MECHANISMS:
@@ -62,8 +54,7 @@ class TestBarterGap:
             (r["mechanism"], r["rate"], r["scenario"]): r
             for r in result.rows
         }
-        s = resolve_scale("ci")
-        for rate in s.os_rates:
+        for rate in GRIDS["ci"].rates:
             strict = by[("strict", rate, "flash")]
             coop = by[("cooperative", rate, "flash")]
             assert strict["p50 soj"] > coop["p50 soj"], rate
@@ -75,7 +66,7 @@ class TestBarterGap:
 
 class TestFactorySpecs:
     def test_specs_are_deterministic_and_non_null(self):
-        factory = _factory(resolve_scale("ci"))
+        factory = GRIDS["ci"]
         for scenario in SCENARIOS:
             a = factory.spec_for(0.6, scenario)
             b = factory.spec_for(0.6, scenario)
@@ -84,12 +75,12 @@ class TestFactorySpecs:
             assert not a.is_null
 
     def test_scenarios_differ(self):
-        factory = _factory(resolve_scale("ci"))
+        factory = GRIDS["ci"]
         specs = {factory.spec_for(0.6, sc) for sc in SCENARIOS}
         assert len(specs) == len(SCENARIOS)
 
     def test_unknown_scenario_refused(self):
-        factory = _factory(resolve_scale("ci"))
+        factory = GRIDS["ci"]
         with pytest.raises(ValueError):
             factory.spec_for(0.6, "weekend")
         with pytest.raises(ValueError):

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import SerialExecutor, configured
 from repro.core.errors import ConfigError
-from repro.experiments.resilience import resilience
 from repro.experiments.scale import SCALES, resolve_scale, sweep_task_counts
 
 
@@ -67,8 +65,9 @@ class TestTaskCounts:
         # must fan out over at least 16 workers' worth of tasks.
         assert all(count >= 16 for count in sweep_task_counts("xl").values())
 
-    def test_resilience_count_matches_executed_runs(self):
-        executor = SerialExecutor()
-        with configured(executor=executor):
-            resilience(scale="ci")
-        assert executor.last_stats.executed == sweep_task_counts("ci")["resilience"]
+    @pytest.mark.parametrize(
+        "name", ["resilience", "open-system", "adversary", "heterogeneity"]
+    )
+    def test_count_matches_executed_runs(self, scenario_ci, name):
+        _, executed = scenario_ci(name)
+        assert executed == sweep_task_counts("ci")[name]

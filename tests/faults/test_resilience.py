@@ -13,8 +13,7 @@ from repro.analysis import (
 from repro.campaign import ParallelExecutor, configured
 from repro.core.errors import ConfigError
 from repro.core.log import RunResult, TransferLog
-from repro.experiments.resilience import MECHANISMS, resilience
-from repro.experiments.scale import SCALES
+from repro.experiments.resilience import GRIDS, MECHANISMS, resilience
 from repro.faults import FaultPlan
 from repro.randomized.cooperative import randomized_cooperative_run
 
@@ -92,9 +91,9 @@ class TestMetrics:
 class TestResilienceExperiment:
     def test_ci_rows_and_headline_shape(self):
         result = resilience(scale="ci")
-        s = SCALES["ci"]
+        g = GRIDS["ci"]
         expected_rows = (
-            len(MECHANISMS) * len(s.res_loss_rates) * len(s.res_crash_rates)
+            len(MECHANISMS) * len(g.loss_rates) * len(g.crash_rates)
         )
         assert len(result.rows) == expected_rows
         by_mech = {
@@ -104,7 +103,7 @@ class TestResilienceExperiment:
         # Every registry mechanism contributes rows for the full grid.
         assert set(by_mech) == set(MECHANISMS)
         for rows in by_mech.values():
-            assert len(rows) == len(s.res_loss_rates) * len(s.res_crash_rates)
+            assert len(rows) == len(g.loss_rates) * len(g.crash_rates)
         # Fault-free baselines complete for every mechanism.
         for rows in by_mech.values():
             base = [r for r in rows if r["loss"] == 0 and r["crash"] == 0]
@@ -113,7 +112,7 @@ class TestResilienceExperiment:
         # Headline: under sustained crashes strict barter's completion
         # probability falls below cooperative's, while credit-limited
         # stays at least as available as strict and close to cooperative.
-        crash = max(s.res_crash_rates)
+        crash = max(g.crash_rates)
 
         def mean_p(mech):
             rows = [r for r in by_mech[mech] if r["crash"] == crash]
