@@ -31,6 +31,9 @@ Since the :mod:`repro.sim` refactor the mechanics live in
 from __future__ import annotations
 
 import random
+from functools import reduce
+from itertools import islice
+from operator import and_
 from typing import Callable
 
 import numpy as np
@@ -86,6 +89,7 @@ class RandomizedTickPolicy(TickPolicy):
         self._dynamic = dynamic
         self._gated = not isinstance(mechanism, Cooperative)
         self._common = 0  # refreshed at every tick start
+        self._pool_and = 0  # see _pool_covers; reset with _common
 
     def bind(self, kernel: TickKernel) -> None:
         super().bind(kernel)
@@ -150,6 +154,7 @@ class RandomizedTickPolicy(TickPolicy):
             if common == 0:
                 break
         self._common = common
+        self._pool_and = 0
 
         attempt = kernel.attempt
         choose = self.block_policy.choose
@@ -239,6 +244,12 @@ class RandomizedTickPolicy(TickPolicy):
         the fallback eligibility scan. Receiver-pool layout feeds the
         uniform draws, so the array pool's activation order and
         swap-removals mirror the scalar pool's.
+
+        The fallback starts with the scalar path's empty-pool proof
+        (:meth:`_pool_covers`, over the live pool's snapshot masks, which
+        are its live masks here): when it holds, the round ends exactly
+        where an empty eligible set would end it. It sits after the
+        rejection draws and an empty scan draws nothing, so no draw moves.
         """
         kernel = self.kernel
         state = kernel.state
@@ -251,6 +262,7 @@ class RandomizedTickPolicy(TickPolicy):
         snap_words = arr.snap_words
 
         backend.activate_pool(kernel.incomplete_pool)
+        self._pool_and = 0
 
         # Uploaders: nodes holding data at tick start, ascending, minus
         # free-riders and throttle skips (same draw order as the scalar
@@ -335,6 +347,11 @@ class RandomizedTickPolicy(TickPolicy):
                             dst = v
                             break
                 else:
+                    # Empty-pool proof first: when every member
+                    # already holds all of src's blocks the scan below
+                    # would find nobody and draw nothing.
+                    if self._pool_covers(have, snapshot, islice(pool_l, size)):
+                        break
                     # Full scan in pool order. A member is eligible
                     # iff it lacks at least one of src's blocks:
                     # with few blocks held, AND the per-block
@@ -466,6 +483,13 @@ class RandomizedTickPolicy(TickPolicy):
         The eligibility predicate is inlined twice for speed: this is the
         hottest loop of the whole library. ``pool`` is the complete-graph
         receiver pool (``None`` on sparse overlays).
+
+        Late in a tick most fallback scans find nobody: an uploader whose
+        blocks every remaining receiver already holds. On the pool, an
+        exact proof (:meth:`_pool_covers`, an AND of member masks cached
+        for the tick) returns ``None`` before such a scan. It runs after
+        the rejection draws, and an empty scan draws nothing, so every
+        RNG draw stays where it was.
         """
         have = snapshot[src]
         gated = self._gated
@@ -493,18 +517,39 @@ class RandomizedTickPolicy(TickPolicy):
                 and (not gated or allows(src, v))
             ):
                 return v
+        if pool is not None and self._pool_covers(have, masks, pool):
+            return None
         candidates = [
             v
             for v in candidates_pool
             if v != src
             and (dl_left is None or dl_left[v] > 0)
-            and have & ~masks[v]
+            and masks[v] & have != have
             and (not absent or v not in absent)
             and (not gated or allows(src, v))
         ]
         if not candidates:
             return None
         return candidates[rng.randrange(len(candidates))]
+
+    def _pool_covers(self, have: int, masks: list[int], pool) -> bool:
+        """Exact proof that no receiver-pool member lacks a block of
+        ``have``: true iff the AND of the members' masks covers it.
+
+        Within one tick the receiver pool only shrinks (swap-removes) and
+        its members' masks only grow: crashes, rejoins and membership
+        changes all land before the pool is armed, and failed, polluted
+        and phantom attempts set no bits. An AND taken earlier in the
+        tick is therefore a subset of the live pool's AND, so a cached
+        AND that covers ``have`` already proves the pool uninterested;
+        only when it does not is the AND recomputed over ``pool``. The
+        cache (``_pool_and``) resets at every tick start and is never
+        checkpointed.
+        """
+        if have & self._pool_and == have:
+            return True
+        self._pool_and = covered = reduce(and_, map(masks.__getitem__, pool), -1)
+        return have & covered == have
 
     def zero_tick_conclusive(self) -> bool:
         """The destination search is exhaustive (bounded rejection

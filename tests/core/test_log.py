@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.core.log import STREAMS, RunResult, Transfer, TransferLog
+from repro.core.log import CHUNK_ROWS, STREAMS, RunResult, Transfer, TransferLog
 
 from ..conftest import log_from
 
@@ -87,6 +92,23 @@ class TestTransferLog:
         assert masks[0] == 0b11  # server complete from the start
         assert masks[1] == 0b01
         assert masks[2] == 0b01
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ((1, 0, -1, 0), "destination -1 outside 0..2"),
+            ((1, 0, 1, 2), "block 2 outside 0..1"),
+            ((1, 0, 1, -1), "block -1 outside 0..1"),
+        ],
+    )
+    def test_out_of_range_rows_raise_config_error(self, row, match):
+        # A block outside 0..k-1 used to block completion silently
+        # (block >= k) or raise a bare ValueError (negative block).
+        log = log_from([(1, 0, 2, 0), row])
+        with pytest.raises(ConfigError, match=match):
+            log.completion_ticks(3, 2)
+        with pytest.raises(ConfigError, match=match):
+            log.final_masks(3, 2)
 
 
 class TestRunResult:
@@ -332,3 +354,225 @@ class TestColumnarStorage:
         assert log[0:2] == [Transfer(1, 0, 1, 0), Transfer(2, 1, 2, 0)]
         with pytest.raises(IndexError):
             log[3]
+
+
+def _scalar_completions(rows, n: int, k: int) -> dict[int, int]:
+    """The row-by-row definition of :meth:`TransferLog.completion_ticks`."""
+    held = [0] * n
+    done: dict[int, int] = {}
+    for tick, _, dst, block in rows:
+        if held[dst] >> block & 1:
+            continue
+        held[dst] |= 1 << block
+        if held[dst] == (1 << k) - 1 and dst != 0:
+            done[dst] = tick
+    return done
+
+
+def _random_deliveries(rnd: random.Random, n: int, k: int, repeats: float):
+    """Tick-ordered rows delivering blocks in random order; a share of
+    rows re-delivers a block the node already got (redundant sends, or a
+    crashed node fetching a block again)."""
+    wanted = [(dst, block) for dst in range(n) for block in range(k)]
+    rnd.shuffle(wanted)
+    rows, given, tick = [], [], 1
+    for dst, block in wanted:
+        if given and rnd.random() < repeats:
+            rows.append((tick, 0, *rnd.choice(given)))
+        rows.append((tick, 0, dst, block))
+        given.append((dst, block))
+        if rnd.random() < 0.02:
+            tick += 1
+    return rows
+
+
+def _chunk_lengths(log: TransferLog, stream: str = "transfers") -> list[int]:
+    return [len(cols[3]) for cols in log._stream(stream).chunks()]
+
+
+class TestCompletionTicks:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_scalar_reference_in_completion_order(self, seed):
+        rnd = random.Random(seed)
+        n, k = rnd.randint(2, 40), rnd.randint(1, 400)
+        rows = _random_deliveries(rnd, n, k, repeats=rnd.choice([0.0, 0.05, 0.3]))
+        rows = rows[: rnd.randint(len(rows) // 2, len(rows))]
+        log = TransferLog()
+        log.extend_batch(rows)
+        expected = _scalar_completions(rows, n, k)
+        assert list(log.completion_ticks(n, k).items()) == list(expected.items())
+
+    def test_repeats_inside_one_chunk_count_once(self):
+        # Node 1 gets block 0 three times before block 1: it completes on
+        # the row delivering block 1, not on the third copy of block 0.
+        rows = [(1, 0, 1, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 2, 0), (3, 0, 2, 1),
+                (4, 0, 1, 1)]
+        assert log_from(rows).completion_ticks(3, 2) == {2: 3, 1: 4}
+        assert list(log_from(rows).completion_ticks(3, 2)) == [2, 1]
+
+    def test_server_and_empty_logs(self):
+        log = log_from([(1, 1, 0, 0), (2, 0, 1, 0)])
+        assert log.completion_ticks(2, 1) == {1: 2}
+        assert TransferLog().completion_ticks(5, 3) == {}
+        assert TransferLog().final_masks(3, 2) == [0b11, 0, 0]
+
+    def test_final_masks_match_the_scalar_definition(self):
+        rnd = random.Random(3)
+        n, k = 30, 70
+        rows = _random_deliveries(rnd, n, k, repeats=0.1)[:1500]
+        held = [0] * n
+        held[0] = (1 << k) - 1
+        for _, _, dst, block in rows:
+            held[dst] |= 1 << block
+        log = TransferLog()
+        log.extend_batch(rows)
+        assert log.final_masks(n, k) == held
+
+
+class TestChunks:
+    ROWS = 2 * CHUNK_ROWS + 123
+
+    def _rows(self, count: int, per_tick: int = 997):
+        return [
+            (1 + i // per_tick, i % 61, i % 59, i % 53) for i in range(count)
+        ]
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_no_column_exceeds_the_chunk_size(self, stream):
+        recorded, batched = TransferLog(), TransferLog()
+        record = getattr(recorded, RECORDERS[stream])
+        for row in self._rows(self.ROWS):
+            record(*row)
+        batched.extend_batch(**{stream: self._rows(self.ROWS)})
+        for log in (recorded, batched):
+            chunks = log._stream(stream).chunks()
+            assert all(len(col) <= CHUNK_ROWS for cols in chunks for col in cols)
+            assert _chunk_lengths(log, stream) == [CHUNK_ROWS, CHUNK_ROWS, 123]
+            assert STREAM_ROWS[stream](log) == [Transfer(*r) for r in self._rows(self.ROWS)]
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_columns_equal_the_row_by_row_definition(self, stream):
+        rows = self._rows(self.ROWS)
+        log = TransferLog()
+        log.extend_batch(**{stream: rows})
+        cols = log.columns(stream)
+        for i, col in enumerate(cols):
+            assert col.dtype == np.int32 and not col.flags.writeable
+            assert col.tolist() == [row[i] for row in rows]
+        assert log.as_lists(stream) == [list(row) for row in rows]
+        assert len(log.columns(stream)[0]) == self.ROWS
+
+    @pytest.mark.parametrize(
+        "per_tick", [1, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 5, 3 * CHUNK_ROWS]
+    )
+    def test_groups_merge_a_tick_split_across_a_seal(self, per_tick):
+        rows = self._rows(self.ROWS, per_tick)
+        log = TransferLog()
+        log.extend_batch(rows)
+        expected: dict[int, list[Transfer]] = defaultdict(list)
+        for row in rows:
+            expected[row[0]].append(Transfer(*row))
+        groups = list(log.groups())
+        assert [tick for tick, _ in groups] == sorted(expected)
+        assert dict(groups) == dict(expected)
+        counts = [0] * log.last_tick
+        for row in rows:
+            counts[row[0] - 1] += 1
+        assert log.uploads_per_tick() == counts
+
+    def test_extend_batch_fills_the_live_chunk_before_sealing(self):
+        log = TransferLog()
+        first = self._rows(CHUNK_ROWS - 2)
+        for row in first:
+            log.record(*row)
+        last_tick = first[-1][0]
+        batch = [(last_tick, 1, 2, 3)] * 5 + [(last_tick + 1, 2, 3, 4)] * CHUNK_ROWS
+        log.extend_batch(batch)
+        log.record(last_tick + 2, 0, 1, 2)
+        assert _chunk_lengths(log) == [CHUNK_ROWS, CHUNK_ROWS, 4]
+        assert list(log) == [Transfer(*r) for r in first + batch] + [
+            Transfer(last_tick + 2, 0, 1, 2)
+        ]
+        assert log[CHUNK_ROWS - 1] == Transfer(last_tick, 1, 2, 3)
+        assert log[-1] == Transfer(last_tick + 2, 0, 1, 2)
+        assert log[-CHUNK_ROWS - 1] == Transfer(last_tick + 1, 2, 3, 4)
+        with pytest.raises(IndexError):
+            log[len(log)]
+
+    def test_a_held_view_survives_appends_across_a_seal(self):
+        log = TransferLog()
+        log.extend_batch(self._rows(CHUNK_ROWS - 1))
+        held = log.columns()
+        log.extend_batch([(99, 1, 2, 3)] * 3)
+        log.record(99, 4, 5, 6)
+        assert len(held[0]) == CHUNK_ROWS - 1
+        assert held[0].tolist() == [row[0] for row in self._rows(CHUNK_ROWS - 1)]
+        assert len(log) == CHUNK_ROWS + 3 and log[-1] == Transfer(99, 4, 5, 6)
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_int32_rollback_across_a_seal(self, stream):
+        log = TransferLog()
+        record = getattr(log, RECORDERS[stream])
+        rows = self._rows(CHUNK_ROWS)
+        for row in rows:
+            record(*row)
+        # The live chunk is full: the bad row seals it, then fails on the
+        # fresh chunk, which must be left empty and aligned.
+        with pytest.raises(ConfigError, match=rf"^{stream} row value {2**40} "):
+            record(rows[-1][0], 0, 1, 2**40)
+        with pytest.raises(ConfigError, match=rf"^{stream} row value {2**31} "):
+            log.extend_batch(**{stream: [(rows[-1][0], 0, 1, 0), (2**31, 0, 1, 0)]})
+        assert {len(c) for c in log.columns(stream)} == {CHUNK_ROWS}
+        record(rows[-1][0], 7, 8, 9)
+        assert STREAM_ROWS[stream](log) == [Transfer(*r) for r in rows] + [
+            Transfer(rows[-1][0], 7, 8, 9)
+        ]
+        assert _chunk_lengths(log, stream) == [CHUNK_ROWS, 1]
+
+    def test_pickle_round_trip_of_a_200k_row_log(self):
+        rows = self._rows(200_000)
+        log = TransferLog()
+        log.extend_batch(rows, failures=rows[:CHUNK_ROWS + 3])
+        back = pickle.loads(pickle.dumps(log))
+        assert len(back) == 200_000 and back.failed_count == CHUNK_ROWS + 3
+        for stream in ("transfers", "failures"):
+            for mine, theirs in zip(back.columns(stream), log.columns(stream)):
+                assert np.array_equal(mine, theirs)
+        assert _chunk_lengths(back) == _chunk_lengths(log)
+        back.record(back.last_tick, 1, 2, 3)
+        assert back[-1] == Transfer(back.last_tick, 1, 2, 3)
+        assert len(log) == 200_000
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap")
+    def test_repeated_long_logs_do_not_grow_the_heap(self):
+        # Three 600k-row logs built one after another in a fresh process:
+        # the third may not raise peak RSS much more than the first did.
+        script = textwrap.dedent(
+            """
+            import gc, resource
+            from repro.core.log import TransferLog
+
+            def peak():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+            base, rises = peak(), []
+            for _ in range(3):
+                log = TransferLog()
+                for i in range(600_000):
+                    log.record(1 + i // 1000, i % 997, i % 991, i % 983)
+                del log
+                gc.collect()
+                rises.append(peak() - base)
+            print(*rises)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        )
+        first, _, third = map(int, out.stdout.split())
+        assert third <= 1.15 * first, out.stdout

@@ -1,10 +1,15 @@
-"""Pinned sha256 digests of coding and async runs.
+"""Pinned sha256 digests of coding, async and randomized runs.
 
 The destination searches of the coding and async engines have O(1)
 shortcuts and an idle-retry filter that must never change a decision or
 an RNG draw. These digests were captured from the exhaustive scans
 before the shortcuts existed; every run below must keep reproducing its
 log (deliveries, failures) and metadata byte for byte.
+
+The randomized runs lean on the fallback scan of the destination search
+(n = k large enough that late uploaders often find nobody interested),
+so they pin the empty-pool proof that skips those scans. Their digests
+were captured from the engine before the proof existed.
 
 Print the current digests (only legitimate when a spec itself changes)::
 
@@ -19,10 +24,12 @@ import json
 import pytest
 
 from repro.adversary import AdversaryPlan
+from repro.core.mechanisms import CreditLimitedBarter
 from repro.core.serde import log_to_dict
 from repro.experiments.heterogeneity import mix_spec
 from repro.faults.plan import FaultPlan
 from repro.overlays.random_regular import random_regular_graph
+from repro.randomized.engine import RandomizedTickPolicy
 from repro.sim.registry import create_engine
 from repro.workloads.spec import FlashCrowd, WorkloadSpec
 
@@ -83,12 +90,27 @@ SPECS = {
         "async", 32, 16,
         {"rng": 10, "strategy": "hypercube", "upload_rates": "drift"},
     ),
+    "randomized-n200-loop": ("randomized", 200, 200, {"rng": 11}),
+    "randomized-n200-array": (
+        "randomized", 200, 200, {"rng": 11, "backend": "array"}
+    ),
+    "randomized-credit2": ("randomized", 160, 160, {"rng": 12, "credit": 2}),
+    "randomized-tiers": ("randomized", 160, 160, {"rng": 13, "bandwidth": "broadband"}),
+    "randomized-crash": ("randomized", 160, 160, {"rng": 14, "faults": _CRASH}),
+    "randomized-crash-array": (
+        "randomized", 160, 160, {"rng": 14, "faults": _CRASH, "backend": "array"}
+    ),
 }
+
+#: The randomized specs, whose fallback scans the empty-pool proof skips.
+FALLBACK_HEAVY = sorted(name for name in SPECS if name.startswith("randomized"))
 
 
 def _build(name: str):
     engine, n, k, options = SPECS[name]
     kw = dict(options)
+    if "credit" in kw:
+        kw["mechanism"] = CreditLimitedBarter(kw.pop("credit"))
     if "bandwidth" in kw:
         kw["bandwidth"] = mix_spec(kw["bandwidth"])
     if "overlay" in kw:
@@ -135,12 +157,35 @@ PINNED = {
     'async-rarest-par2-drift': '6ebbee3691fcd589076465aea50b071bc6e0d3653baa52b98b62097976f8ab8f',
     'async-random-par2-drift': 'a7738bfc1a32a429bb78b66b1e78635a4d7ccd7bfb8fb09c64ac05b99bdfb704',
     'async-hypercube-drift': '71a69b2ad91992a201d3b08747d7e94250908e0f722ddf9d4a591067e3c2d2b1',
+    'randomized-n200-loop': 'c155e9f761fa0262d20851e3ea2af0f10a9607ab603cec36e2bfd55228ac8bb6',
+    'randomized-n200-array': 'c155e9f761fa0262d20851e3ea2af0f10a9607ab603cec36e2bfd55228ac8bb6',
+    'randomized-credit2': '18ffc71e1c699f83c8f4abd07c2be8931d96ee06c16633d5b1163a2346c1b674',
+    'randomized-tiers': '3b3732a144d0a8aa82bc3fccd43947ed1c5021376f8c8a2a15874c1784eb4d72',
+    'randomized-crash': '8cbdb3106d0044cfed16abff1847c67cca9d82a8a17023a14fb36d535ceaba18',
+    'randomized-crash-array': '8cbdb3106d0044cfed16abff1847c67cca9d82a8a17023a14fb36d535ceaba18',
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_pinned_digest(name: str) -> None:
     assert run_digest(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", FALLBACK_HEAVY)
+def test_empty_pool_proof_fires(name: str, monkeypatch) -> None:
+    # The randomized digests above only guard the proof if it actually
+    # skips scans on those runs: count the fallbacks it settles.
+    proofs = []
+    covers = RandomizedTickPolicy._pool_covers
+
+    def spy(self, have, masks, pool):
+        proofs.append(covers(self, have, masks, pool))
+        return proofs[-1]
+
+    monkeypatch.setattr(RandomizedTickPolicy, "_pool_covers", spy)
+    assert run_digest(name) == PINNED[name]
+    assert sum(proofs) >= 1000
+    assert len(proofs) - sum(proofs) >= 100  # and some fallbacks still scan
 
 
 if __name__ == "__main__":  # pragma: no cover - capture helper
