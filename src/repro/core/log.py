@@ -19,7 +19,8 @@ started. No column is ever reallocated past 32 KB, so a process that
 runs many long simulations one after another reuses freed chunks
 instead of fragmenting its heap with ever larger buffers. Readers walk
 the chunks in row order (:meth:`TransferLog.groups`,
-:meth:`TransferLog.completion_ticks`, :meth:`TransferLog.as_lists`);
+:meth:`TransferLog.windows`, :meth:`TransferLog.completion_ticks`,
+:meth:`TransferLog.as_lists`);
 :meth:`TransferLog.columns` concatenates them, a copy once a stream
 spans more than one chunk.
 
@@ -300,6 +301,32 @@ def _chunk_rows(cols, start: int, stop: int) -> list[Transfer]:
     return list(_as_transfers(zip(*(col[start:stop].tolist() for col in cols))))
 
 
+def _take_window(chunks: list, pos: list[int], last: int) -> tuple[np.ndarray, ...]:
+    """The rows of ``chunks`` from chunk ``pos[0]``, row ``pos[1]`` on whose
+    tick is at most ``last``, as read-only int32 columns; advances ``pos``
+    past them."""
+    pieces = []
+    while pos[0] < len(chunks):
+        cols = chunks[pos[0]]
+        ticks = np.frombuffer(cols[0], np.int32)
+        stop = int(np.searchsorted(ticks, last, "right"))
+        if stop > pos[1]:
+            pieces.append([np.frombuffer(col, np.int32)[pos[1] : stop] for col in cols])
+        if stop < ticks.size:
+            pos[1] = stop
+            break
+        pos[0], pos[1] = pos[0] + 1, 0
+    if not pieces:
+        window = [np.empty(0, np.int32) for _ in range(4)]
+    elif len(pieces) == 1:
+        window = pieces[0]
+    else:
+        window = list(map(np.concatenate, zip(*pieces)))
+    for col in window:
+        col.flags.writeable = False
+    return tuple(window)
+
+
 class TransferLog:
     """An append-only, tick-ordered record of transfers.
 
@@ -457,6 +484,35 @@ class TransferLog:
         :class:`Transfer` rows.
         """
         return self._stream(stream).groups()
+
+    def windows(self, rows: int) -> Iterator[tuple[tuple[np.ndarray, ...], ...]]:
+        """Walk the four streams together in tick-ordered windows.
+
+        Each window is one ``(tick, src, dst, block)`` column tuple per
+        stream, in :data:`STREAMS` order (an idle stream gives empty
+        columns). A window ends on a tick boundary: at the earliest tick
+        among the streams' ``rows``-th next rows, each clipped to the end
+        of its current chunk, and the rest of that tick goes wholly into
+        the window, also where it spills across a chunk seal. So a window
+        holds at most ``rows`` rows per stream plus the rows of its last
+        tick, and a pass over the log keeps O(``rows``) rows at a time.
+        Columns are read-only int32 views of the chunks, or copies where
+        a window spans a seal.
+        """
+        if rows < 1:
+            raise ConfigError(f"windows need at least one row, got {rows}")
+        chunks = [[c for c in s.chunks() if len(c[3])] for s in self._streams]
+        positions = [[0, 0] for _ in chunks]
+        while True:
+            ends = [
+                c[i][0][min(j + rows, len(c[i][0])) - 1]
+                for c, (i, j) in zip(chunks, positions)
+                if i < len(c)
+            ]
+            if not ends:
+                return
+            last = min(ends)
+            yield tuple(_take_window(c, p, last) for c, p in zip(chunks, positions))
 
     def __len__(self) -> int:
         return len(self._deliveries)

@@ -42,6 +42,26 @@ its ``(src, dst)`` pair, the threshold-th strike bans the pair from that
 tick on, and *any* row on a banned pair at a strictly later tick is a
 ``blacklist`` violation (same-tick rows are tolerated — within a tick
 the log carries no ordering).
+
+Two paths check the same rules:
+
+* the **scalar replay** (:func:`_replay`) walks the log tick by tick with
+  a Python bitmask per node. It is the reference: it names the first
+  violation in tick order, and it is the only path for crash/rejoin
+  events, ``strike_threshold``, ``overlay`` and every mechanism other
+  than :class:`Cooperative` and :class:`StrictBarter` (credit-limited,
+  triangular, subclasses);
+* the **proof** (:func:`_prove`) covers the rest. Without crash or
+  rejoin events holdings only grow, so each rule is a whole-array test
+  over :meth:`TransferLog.windows`: tick-aligned windows of a quarter
+  chunk, checked against a bool "held before this window" matrix, with the
+  window's own first receipts resolved from its sorted ``(dst, block)``
+  keys, and per-node counts taken over sorted ``(tick, node)`` keys.
+
+The proof only ever *accepts*: it returns the same
+:class:`VerificationReport` the replay would, or nothing, and then
+:func:`verify_log` runs the replay, which raises the exact
+:class:`ScheduleViolation` (rule, tick and message) a violation earns.
 """
 
 from __future__ import annotations
@@ -50,10 +70,12 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .blocks import full_mask
 from .errors import ScheduleViolation
-from .log import STREAMS, Transfer, TransferLog
-from .mechanisms import Cooperative, Mechanism
+from .log import CHUNK_ROWS, STREAMS, Transfer, TransferLog
+from .mechanisms import Cooperative, Mechanism, StrictBarter
 from .model import SERVER, BandwidthModel
 
 __all__ = ["VerificationReport", "verify_log"]
@@ -146,10 +168,73 @@ def verify_log(
     ------
     ScheduleViolation
         On the first rule breach encountered, in tick order.
+
+    A log with no crash/rejoin events, strike threshold or overlay,
+    under :class:`Cooperative` or :class:`StrictBarter` exactly, is first
+    checked by the whole-array proof; anything the proof does not accept
+    goes to the scalar replay, which raises or returns the same report.
     """
     model = model or BandwidthModel.symmetric()
     mechanism = mechanism or Cooperative()
+    if _provable(mechanism, overlay, crash_events, rejoin_events, strike_threshold):
+        report = _prove(
+            log,
+            n,
+            k,
+            model,
+            strict=type(mechanism) is StrictBarter,
+            require_completion=require_completion,
+            allow_redundant=allow_redundant,
+        )
+        if report is not None:
+            return report
+    return _replay(
+        log,
+        n,
+        k,
+        model,
+        mechanism,
+        overlay=overlay,
+        require_completion=require_completion,
+        allow_redundant=allow_redundant,
+        crash_events=crash_events,
+        rejoin_events=rejoin_events,
+        strike_threshold=strike_threshold,
+    )
+
+
+def _provable(mechanism, overlay, crash_events, rejoin_events, strike_threshold) -> bool:
+    """Whether :func:`verify_log`'s arguments admit the whole-array proof:
+    no overlay, crash/rejoin events or strike threshold, and exactly
+    :class:`Cooperative` or :class:`StrictBarter` (a subclass may add
+    rules the proof does not know)."""
+    return (
+        type(mechanism) in (Cooperative, StrictBarter)
+        and overlay is None
+        and not (crash_events or rejoin_events or strike_threshold)
+    )
+
+
+def _replay(
+    log: TransferLog,
+    n: int,
+    k: int,
+    model: BandwidthModel | None = None,
+    mechanism: Mechanism | None = None,
+    *,
+    overlay=None,
+    require_completion: bool = True,
+    allow_redundant: bool = False,
+    crash_events=None,
+    rejoin_events=None,
+    strike_threshold: int | None = None,
+) -> VerificationReport:
+    """The scalar replay: :func:`verify_log`'s reference path, which
+    takes the same arguments and walks the log one tick at a time."""
+    model = model or BandwidthModel.symmetric()
+    mechanism = mechanism or Cooperative()
     mechanism.reset()
+    upload_caps, download_caps = _capacities(model, n)
 
     masks = [0] * n
     masks[SERVER] = full_mask(k)
@@ -187,7 +272,8 @@ def verify_log(
             masks,
             n=n,
             k=k,
-            model=model,
+            upload_caps=upload_caps,
+            download_caps=download_caps,
             overlay=overlay,
             allow_redundant=allow_redundant,
         )
@@ -252,15 +338,52 @@ def verify_log(
             rule="completion",
         )
 
+    return _report(
+        log,
+        n,
+        k,
+        model,
+        upload_caps,
+        redundant=redundant,
+        server_uploads=server_uploads,
+        peak_downloads=peak_downloads,
+        all_complete=all_complete,
+        busy_ticks=busy_ticks,
+        extras={"bans_replayed": len(banned)} if strike_threshold else {},
+    )
+
+
+def _capacities(model: BandwidthModel, n: int) -> tuple[list[int], list | None]:
+    """Every node's upload capacity, and download capacity (``None`` for
+    a model with unbounded downloads), read from ``model`` once."""
+    uploads = [model.upload_capacity(v) for v in range(n)]
+    if model.unbounded_download:
+        return uploads, None
+    return uploads, [model.download_capacity(v) for v in range(n)]
+
+
+def _report(
+    log: TransferLog,
+    n: int,
+    k: int,
+    model: BandwidthModel,
+    upload_caps: list[int],
+    *,
+    redundant: int,
+    server_uploads: int,
+    peak_downloads: int,
+    all_complete: bool,
+    busy_ticks: int,
+    extras: dict[str, object],
+) -> VerificationReport:
+    """The report both paths return for a log they accept."""
     total = len(log)
     ticks = log.last_attempt_tick
     # Upload efficiency: achieved transfers relative to the ceiling of each
     # node's upload capacity per tick over the run (the paper's "fraction of
     # nodes that upload data in each step"; per-node capacities generalise
     # the uniform n - 1 + server_upload ceiling).
-    capacity = ticks * (
-        sum(model.upload_capacity(v) for v in range(1, n)) + model.server_upload
-    )
+    capacity = ticks * (sum(upload_caps[1:]) + model.server_upload)
     efficiency = total / capacity if capacity else 0.0
 
     return VerificationReport(
@@ -278,8 +401,203 @@ def verify_log(
         failed_transfers=log.failed_count,
         polluted_transfers=log.polluted_count,
         phantom_transfers=log.phantom_count,
-        extras={"bans_replayed": len(banned)} if strike_threshold else {},
+        extras=extras,
     )
+
+
+#: Rows per stream in one proof window (plus the rest of its last tick):
+#: a quarter chunk keeps the window's keys and sort buffers small.
+_WINDOW_ROWS = CHUNK_ROWS // 4
+
+#: Stands in for an unbounded per-node download capacity.
+_UNCAPPED = np.iinfo(np.int64).max
+
+
+def _prove(
+    log: TransferLog,
+    n: int,
+    k: int,
+    model: BandwidthModel,
+    *,
+    strict: bool,
+    require_completion: bool,
+    allow_redundant: bool,
+) -> VerificationReport | None:
+    """Check an event-free log with whole-array tests, window by window.
+
+    Returns the report the scalar replay would return, or ``None`` when
+    any rule fails (the caller then replays the log to name the
+    violation). ``strict`` adds StrictBarter's pairwise symmetry.
+
+    State is ``held``, an n×k bool matrix of the blocks each node held
+    before the current window (the server's row all set). Inside a
+    window a node holds a block at the start of tick ``t`` when ``held``
+    says so or the window delivered it before ``t``; the window's first
+    receipt per ``(dst, block)`` key comes from its sorted deliveries.
+    """
+    upload_caps, download_caps = _capacities(model, n)
+    up = np.array(upload_caps, np.int64)
+    down = None
+    if download_caps is not None:
+        down = np.array(
+            [_UNCAPPED if cap is None else cap for cap in download_caps], np.int64
+        )
+    held = np.zeros(n * k, bool)
+    held[:k] = True  # the server's row
+    redundant = server_uploads = peak_downloads = busy_ticks = 0
+
+    for window in log.windows(_WINDOW_ROWS):
+        tick, src, dst, block = (_join(cols) for cols in zip(*window))
+        delivered = window[0][0].size
+        attempted = tick.size - window[3][0].size  # every row but phantoms
+        first = int(tick.min())
+        span = int(tick.max()) - first + 1
+        if (
+            src.min() < 0
+            or src.max() >= n
+            or dst.min() < 0
+            or dst.max() >= n
+            or block.min() < 0
+            or block.max() >= k
+            or (src == dst).any()
+            or n * max(n, k) * span >= 2**62  # the keys below fit int64
+        ):
+            return None
+        # Every key below is at most n * max(n, k) * span.
+        wide = np.int32 if n * max(n, k) * span < 2**31 else np.int64
+        rel = tick - first
+
+        # The window's deliveries sorted by (dst, block, tick): each key's
+        # first run entry carries its first receipt tick.
+        receipts = _keys(dst[:delivered], block[:delivered], k, wide)
+        receipts *= span
+        receipts += rel[:delivered]
+        receipts.sort()
+        keys = receipts // span
+        fresh = _run_bounds(keys)[:-1]
+        keys = keys[fresh]
+        key_ticks = receipts[fresh] - keys * span
+        del receipts
+        if not allow_redundant and (keys.size < delivered or held[keys].any()):
+            return None  # a key delivered twice, or to a node holding it
+
+        # Causality for deliveries, failures and polluted rows; usefulness
+        # for failures and polluted rows (deliveries were checked above).
+        rows = slice(None, attempted)
+        sent = _keys(src[rows], block[rows], k, wide)
+        if not _held(sent, rel[rows], held, keys, key_ticks).all():
+            return None
+        if not allow_redundant and attempted > delivered:
+            rows = slice(delivered, attempted)
+            wanted = _keys(dst[rows], block[rows], k, wide)
+            if _held(wanted, rel[rows], held, keys, key_ticks).any():
+                return None
+
+        # Capacity: rows per (tick, node) over all four streams.
+        slots = rel.astype(wide) * n
+        counts, nodes, runs = _counts(slots + src, n)
+        if (counts > up[nodes]).any():
+            return None
+        busy_ticks += int(np.count_nonzero(runs[1:] // n != runs[:-1] // n)) + 1
+        counts, nodes, _ = _counts(slots + dst, n)
+        if down is not None and (counts > down[nodes]).any():
+            return None
+        peak_downloads = max(peak_downloads, int(counts.max()))
+        del slots
+
+        if strict and not _barter_balanced(rel, src, dst, n, wide):
+            return None
+
+        if allow_redundant:
+            redundant += delivered - int(np.count_nonzero(~held[keys]))
+        held[keys] = True
+        server_uploads += int(np.count_nonzero(src[:delivered] == SERVER))
+
+    all_complete = bool(held[k:].all())
+    if require_completion and not all_complete:
+        return None
+    return _report(
+        log,
+        n,
+        k,
+        model,
+        upload_caps,
+        redundant=redundant,
+        server_uploads=server_uploads,
+        peak_downloads=peak_downloads,
+        all_complete=all_complete,
+        busy_ticks=busy_ticks,
+        extras={},
+    )
+
+
+def _keys(major: np.ndarray, minor, size: int, dtype) -> np.ndarray:
+    """``major * size + minor`` as a new ``dtype`` array."""
+    keys = major.astype(dtype)
+    keys *= size
+    keys += minor
+    return keys
+
+
+def _join(columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One column of a window, its four streams end to end in
+    :data:`STREAMS` order (no copy when only one stream has rows)."""
+    live = [col for col in columns if col.size]
+    return live[0] if len(live) == 1 else np.concatenate(columns)
+
+
+def _held(
+    keys: np.ndarray,
+    ticks: np.ndarray,
+    held: np.ndarray,
+    receipts: np.ndarray,
+    receipt_ticks: np.ndarray,
+) -> np.ndarray:
+    """Whether each ``node * k + block`` key is held at the start of its
+    window-relative tick: held before the window, or first received in
+    it (sorted ``receipts``, at ``receipt_ticks``) at an earlier tick."""
+    have = held[keys]
+    late = np.flatnonzero(~have)
+    if late.size and receipts.size:
+        at = np.minimum(np.searchsorted(receipts, keys[late]), receipts.size - 1)
+        have[late] = (receipts[at] == keys[late]) & (receipt_ticks[at] < ticks[late])
+    return have
+
+
+def _run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``keys`` starts, then
+    ``keys.size``."""
+    change = np.ones(keys.size + 1, bool)
+    np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
+    return np.flatnonzero(change)
+
+
+def _counts(slots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``tick * n + node`` keys in place; return each distinct key's
+    count, its node and the distinct keys."""
+    slots.sort()
+    bounds = _run_bounds(slots)
+    runs = slots[bounds[:-1]]
+    return np.diff(bounds), runs % n, runs
+
+
+def _barter_balanced(
+    ticks: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int, dtype
+) -> bool:
+    """StrictBarter's rule: per tick, every client pair sends as many
+    blocks one way as the other (server rows exempt) — the sorted
+    ``(tick, lo, hi)`` keys of the rows sent upwards equal those of the
+    rows sent downwards."""
+    clients = (src != SERVER) & (dst != SERVER)
+    upward, downward = clients & (src < dst), clients & (src > dst)
+    lo_hi = []
+    for rows, lo, hi in ((upward, src, dst), (downward, dst, src)):
+        keys = _keys(ticks[rows], lo[rows], n, dtype)
+        keys *= n
+        keys += hi[rows]
+        keys.sort()
+        lo_hi.append(keys)
+    return np.array_equal(*lo_hi)
 
 
 _Rows = list[Transfer]
@@ -341,13 +659,19 @@ def _check_tick(
     *,
     n: int,
     k: int,
-    model: BandwidthModel,
+    upload_caps: list[int],
+    download_caps: list | None,
     overlay,
     allow_redundant: bool,
 ) -> int:
-    """Check one tick's static rules; return its peak per-node downloads."""
-    uploads: Counter[int] = Counter()
-    downloads: Counter[int] = Counter()
+    """Check one tick's static rules; return its peak per-node downloads.
+
+    ``download_caps`` is ``None`` when downloads are unbounded. Counts
+    are plain dicts in row order, so the first node over its capacity
+    is the first one reported.
+    """
+    uploads: dict[int, int] = {}
+    downloads: dict[int, int] = {}
     incoming_blocks: set[tuple[int, int]] = set()
 
     # Failed attempts obey every static rule and consume capacity, but are
@@ -407,20 +731,20 @@ def _check_tick(
                         rule="usefulness",
                     )
                 incoming_blocks.add((dst, block))
-            uploads[src] += 1
-            downloads[dst] += 1
+            uploads[src] = uploads.get(src, 0) + 1
+            downloads[dst] = downloads.get(dst, 0) + 1
 
     for node, count in uploads.items():
-        cap = model.upload_capacity(node)
+        cap = upload_caps[node]
         if count > cap:
             raise ScheduleViolation(
                 f"node {node} uploads {count} blocks in one tick (capacity {cap})",
                 tick=tick,
                 rule="upload-capacity",
             )
-    if not model.unbounded_download:
+    if download_caps is not None:
         for node, count in downloads.items():
-            cap = model.download_capacity(node)
+            cap = download_caps[node]
             if cap is not None and count > cap:
                 raise ScheduleViolation(
                     f"node {node} downloads {count} blocks in one tick "

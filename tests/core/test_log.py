@@ -576,3 +576,43 @@ class TestChunks:
         )
         first, _, third = map(int, out.stdout.split())
         assert third <= 1.15 * first, out.stdout
+
+
+class TestWindows:
+    """``windows()``: every stream walked together on tick boundaries."""
+
+    def _log(self, per_tick: int) -> TransferLog:
+        # Four streams with different densities, so windows cut each one
+        # at a different row and ticks straddle the seals.
+        log = TransferLog()
+        for s, (stream, density) in enumerate(zip(STREAMS, (1, 3, 11, 29))):
+            count = (2 * CHUNK_ROWS + 123) // density
+            step = max(1, per_tick // density)
+            rows = [(1 + i // step, s, i % 59, i % 53) for i in range(count)]
+            log.extend_batch(**{stream: rows})
+        return log
+
+    @pytest.mark.parametrize("rows", [1, 100, CHUNK_ROWS])
+    @pytest.mark.parametrize("per_tick", [1, 7, CHUNK_ROWS - 1, CHUNK_ROWS + 5, 3 * CHUNK_ROWS])
+    def test_windows_cut_every_stream_on_tick_boundaries(self, per_tick, rows):
+        log = self._log(per_tick)
+        seen = {stream: [] for stream in STREAMS}
+        previous = 0
+        for window in log.windows(rows):
+            assert len(window) == len(STREAMS)
+            ticks = np.concatenate([cols[0] for cols in window])
+            assert ticks.size and ticks.min() > previous
+            previous = ticks.max()
+            for stream, cols in zip(STREAMS, window):
+                assert all(col.dtype == np.int32 and not col.flags.writeable for col in cols)
+                tick = cols[0]
+                # At most `rows` rows, plus the rest of the window's last tick.
+                assert tick.size <= rows + np.count_nonzero(tick == previous)
+                seen[stream] += np.column_stack(cols).tolist()
+        for stream in STREAMS:
+            assert seen[stream] == log.as_lists(stream)
+
+    def test_empty_log_and_bad_row_count(self):
+        assert list(TransferLog().windows(CHUNK_ROWS)) == []
+        with pytest.raises(ConfigError):
+            next(TransferLog().windows(0))

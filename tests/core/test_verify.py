@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from repro.core import verify as verify_module
 from repro.core.engine import execute_schedule
 from repro.core.errors import ScheduleViolation
 from repro.core.log import Transfer
@@ -253,3 +254,79 @@ class TestVerifyStreaming:
             tracemalloc.stop()
         row_bytes = sys.getsizeof(Transfer(1, 2, 3, 4))
         assert peak < len(log) * row_bytes / 4
+
+
+def verify_both(log, n, k, model=None, mechanism=None, **options):
+    """``verify_log`` checked against the scalar replay on one log.
+
+    Both must raise the same violation (rule, tick and message) or
+    return equal reports; where the arguments admit the whole-array
+    proof, it must accept exactly when the replay does, with an equal
+    report. Raises or returns what the replay does.
+    """
+    args = (log, n, k, model, mechanism)
+    proof = None
+    provable = verify_module._provable(
+        mechanism or verify_module.Cooperative(),
+        options.get("overlay"),
+        options.get("crash_events"),
+        options.get("rejoin_events"),
+        options.get("strike_threshold"),
+    )
+    if provable:
+        proof = verify_module._prove(
+            log,
+            n,
+            k,
+            model or BandwidthModel.symmetric(),
+            strict=type(mechanism) is StrictBarter,
+            require_completion=options.get("require_completion", True),
+            allow_redundant=options.get("allow_redundant", False),
+        )
+    try:
+        expected = verify_module._replay(*args, **options)
+    except ScheduleViolation as err:
+        assert proof is None, f"the proof accepted a log the replay rejects: {err}"
+        with pytest.raises(ScheduleViolation) as got:
+            verify_module.verify_log(*args, **options)
+        assert (got.value.rule, got.value.tick, str(got.value)) == (
+            err.rule,
+            err.tick,
+            str(err),
+        )
+        raise
+    assert verify_module.verify_log(*args, **options) == expected
+    if provable:
+        assert proof == expected, "the proof rejected a log the replay accepts"
+    return expected
+
+
+@pytest.fixture
+def differential(monkeypatch):
+    """Route this module's ``verify_log`` calls through :func:`verify_both`."""
+    monkeypatch.setattr(sys.modules[__name__], "verify_log", verify_both)
+
+
+# The rule, tier, mechanism and streaming cases again, each run on both
+# verification paths: the public ``verify_log`` (whole-array proof with
+# scalar fallback) and the scalar replay.
+
+
+@pytest.mark.usefixtures("differential")
+class TestRuleChecksBothPaths(TestVerifyRuleChecks):
+    pass
+
+
+@pytest.mark.usefixtures("differential")
+class TestHeterogeneousBothPaths(TestVerifyHeterogeneous):
+    pass
+
+
+@pytest.mark.usefixtures("differential")
+class TestMechanismsBothPaths(TestVerifyMechanisms):
+    pass
+
+
+@pytest.mark.usefixtures("differential")
+class TestStreamingBothPaths(TestVerifyStreaming):
+    pass
