@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of coding, async and randomized runs.
+"""Pinned sha256 digests of coding, async, randomized and exchange runs.
 
 The destination searches of the coding and async engines have O(1)
 shortcuts and an idle-retry filter that must never change a decision or
@@ -10,6 +10,14 @@ The randomized runs lean on the fallback scan of the destination search
 (n = k large enough that late uploaders often find nobody interested),
 so they pin the empty-pool proof that skips those scans. Their digests
 were captured from the engine before the proof existed.
+
+The exchange runs pin the strict-barter matcher: which mutually
+interested pairs it offers each initiator, in which order, and so every
+``randrange`` it draws. Their digests were captured from the per-client
+partner scan, before the per-tick interest matrix replaced it; they
+cover both backends, crash and loss, a flash crowd with free-riders,
+polluters with strikes, bandwidth tiers, an overlay, download capacity 2
+(the seeded client may also barter) and k > 128 (three-word masks).
 
 Print the current digests (only legitimate when a spec itself changes)::
 
@@ -25,6 +33,7 @@ import pytest
 
 from repro.adversary import AdversaryPlan
 from repro.core.mechanisms import CreditLimitedBarter
+from repro.core.model import BandwidthModel
 from repro.core.serde import log_to_dict
 from repro.experiments.heterogeneity import mix_spec
 from repro.faults.plan import FaultPlan
@@ -44,6 +53,9 @@ _FLASH = WorkloadSpec(
     initial_fraction=0.5, flash_crowds=(FlashCrowd(3, 20, 4),)
 )
 _RIDERS = AdversaryPlan(free_rider_fraction=0.15)
+_STRIKES = AdversaryPlan(
+    polluter_fraction=0.15, pollution_rate=0.3, strike_threshold=2
+)
 
 
 def _strategy(name: str, n: int):
@@ -99,6 +111,25 @@ SPECS = {
     "randomized-crash": ("randomized", 160, 160, {"rng": 14, "faults": _CRASH}),
     "randomized-crash-array": (
         "randomized", 160, 160, {"rng": 14, "faults": _CRASH, "backend": "array"}
+    ),
+    "exchange-n64-loop": ("exchange", 64, 32, {"rng": 21}),
+    "exchange-n64-array": ("exchange", 64, 32, {"rng": 21, "backend": "array"}),
+    "exchange-crash": ("exchange", 48, 24, {"rng": 22, "faults": _CRASH}),
+    "exchange-crash-array": (
+        "exchange", 48, 24, {"rng": 22, "faults": _CRASH, "backend": "array"}
+    ),
+    "exchange-flash-riders": (
+        "exchange", 48, 24, {"rng": 23, "workload": _FLASH, "adversary": _RIDERS}
+    ),
+    "exchange-strikes": ("exchange", 48, 24, {"rng": 24, "adversary": _STRIKES}),
+    "exchange-tiers": ("exchange", 48, 24, {"rng": 25, "bandwidth": "broadband"}),
+    "exchange-overlay": ("exchange", 40, 16, {"rng": 35, "overlay": 4}),
+    "exchange-d2": (
+        "exchange", 48, 24, {"rng": 27, "model": BandwidthModel(download=2)}
+    ),
+    "exchange-k130": ("exchange", 40, 130, {"rng": 28}),
+    "exchange-k130-array": (
+        "exchange", 40, 130, {"rng": 28, "backend": "array"}
     ),
 }
 
@@ -163,6 +194,17 @@ PINNED = {
     'randomized-tiers': '3b3732a144d0a8aa82bc3fccd43947ed1c5021376f8c8a2a15874c1784eb4d72',
     'randomized-crash': '8cbdb3106d0044cfed16abff1847c67cca9d82a8a17023a14fb36d535ceaba18',
     'randomized-crash-array': '8cbdb3106d0044cfed16abff1847c67cca9d82a8a17023a14fb36d535ceaba18',
+    'exchange-n64-loop': '20dff5b32dd2363ed882b945c1c3964c99f4e24638cdf2a5ebfd613eb6427c37',
+    'exchange-n64-array': '20dff5b32dd2363ed882b945c1c3964c99f4e24638cdf2a5ebfd613eb6427c37',
+    'exchange-crash': 'e7d0139c791d37224c1a13ca54ea41e302c2a36a6a1aee20afc399daa752f374',
+    'exchange-crash-array': 'e7d0139c791d37224c1a13ca54ea41e302c2a36a6a1aee20afc399daa752f374',
+    'exchange-flash-riders': '8c01b73a7703bd2acbcf65b22b4914f7ae002149e42f73fa14f0c6d48ae5e532',
+    'exchange-strikes': 'a83539d87add51257179fafea2bc819ef001ea74e970a094e4b57372ee6c139d',
+    'exchange-tiers': 'a5dddfa04a4e649bab0f5f99d14d55936464f73bfdd941b3e9a6a48d1a9310ea',
+    'exchange-overlay': '762d45f5ed06b1dd402316486d334246c3a0228543af83893041fbb6f6fb0e50',
+    'exchange-d2': 'f18894ee3a94f469696de4a3212195962418d06ae335a026235a2b66cdd143d1',
+    'exchange-k130': 'ddda550d3035e2aafa1a887a4d22256437cef9db7e22b036f3266567558f9f59',
+    'exchange-k130-array': 'ddda550d3035e2aafa1a887a4d22256437cef9db7e22b036f3266567558f9f59',
 }
 
 
