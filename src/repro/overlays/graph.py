@@ -181,7 +181,7 @@ class CompleteGraph(Graph):
         self._check_node(v)
         cached = self._cached_neighbors.get(v)
         if cached is None:
-            cached = tuple(w for w in range(self.n) if w != v)
+            cached = (*range(v), *range(v + 1, self.n))
             # Cache only a handful to avoid O(n^2) memory on big graphs.
             if len(self._cached_neighbors) < 64:
                 self._cached_neighbors[v] = cached

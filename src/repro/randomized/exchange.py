@@ -12,6 +12,19 @@ exception to barter).
 This directly exposes the start-up bottleneck of Theorem 2: only clients
 already holding data can be matched, so the swarm warms up linearly.
 
+Matching reads one interest matrix per tick. The server seed lands
+first; then clients in shuffled order each take a random unmatched,
+mutually interested neighbour. Inside that loop only the two clients of
+a new pair receive blocks, and a matched client is never a candidate
+again, so among the *unmatched* clients mutual interest is fixed once
+the seed has landed. One ``gives & gives.T`` bool matrix over the
+tick's eligible clients — ``gives[a, b]``: a's start-of-tick blocks
+include one that b lacks after the seed — therefore answers every
+partner query of the loop exactly as a fresh scan of the live masks
+would. Rows are packed into Python ints, so an initiator's candidates
+are one AND with the unmatched set, and every RNG draw is the one the
+per-client scan made.
+
 Fault injection (:mod:`repro.faults`) applies per *direction* of a swap:
 a lost direction consumes its bandwidth — and keeps the tick's pairing
 symmetric, so the strict-barter constraint still holds over the tick's
@@ -29,6 +42,8 @@ from __future__ import annotations
 import random
 from typing import Callable
 
+import numpy as np
+
 from ..core.errors import ConfigError
 from ..core.log import RunResult
 from ..core.model import SERVER, BandwidthModel
@@ -42,6 +57,28 @@ from .policies import BlockPolicy, RandomPolicy
 __all__ = ["ExchangeEngine", "ExchangeTickPolicy", "randomized_exchange_run"]
 
 
+def _words(masks: list[int], nbytes: int) -> np.ndarray:
+    """Bitmasks as a ``(len(masks), nbytes // 8)`` little-endian word matrix."""
+    raw = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), -1)
+
+
+def _nth_bit(x: int, r: int) -> int:
+    """Index of the ``r``-th lowest set bit of ``x`` (``r`` from 0)."""
+    shift = 0
+    word = x & 0xFFFFFFFFFFFFFFFF
+    count = word.bit_count()
+    while r >= count:
+        r -= count
+        x >>= 64
+        shift += 64
+        word = x & 0xFFFFFFFFFFFFFFFF
+        count = word.bit_count()
+    for _ in range(r):
+        word &= word - 1
+    return shift + (word & -word).bit_length() - 1
+
+
 class ExchangeTickPolicy(TickPolicy):
     """Per-tick random matching of mutually interested client pairs.
 
@@ -52,14 +89,25 @@ class ExchangeTickPolicy(TickPolicy):
     directions. Download capacity is enforced structurally (one swap per
     client, plus the seeded client needing a second unit), so the
     kernel's per-node download ledger is switched off.
+
+    Mutual interest is computed once per tick, after the seed (see the
+    module docstring for why that is exact), by :meth:`_interest_rows`
+    over the clients that can barter this tick: present, not
+    free-riding, holding data, still incomplete, and not the seeded
+    client unless it has a second download unit. An initiator's
+    candidates keep ``graph.neighbors`` order — ascending node order on
+    a :class:`CompleteGraph`, where the draw picks the r-th set bit of
+    its row directly — so ``randrange`` sees the same list length and
+    picks the same partner as a full scan would.
     """
 
     name = "randomized-exchange"
     uses_download_ledger = False
-    # Matching decisions feed back on live masks (a delivered swap
-    # changes later partners' mutual interest), so exchange keeps the
-    # per-attempt path on the array backend and gains its mirrored
-    # ownership words and deferred bulk logging.
+    # Matching is sequential in the RNG (each initiator's draw depends
+    # on whom earlier initiators took), so exchange keeps the
+    # per-attempt path on the array backend; it reads the mirrored
+    # ownership words for its interest matrix and gains deferred bulk
+    # logging.
     supports_array = True
     adversary_support = "full"
     # One swap per client per tick is structural here — a fast tier's
@@ -75,6 +123,8 @@ class ExchangeTickPolicy(TickPolicy):
     def bind(self, kernel: TickKernel) -> None:
         super().bind(kernel)
         kernel.graph = self._graph
+        self._full = (1 << kernel.k) - 1
+        self._nbytes = 8 * ((kernel.k + 63) >> 6)
 
     def run_tick(self, snapshot: list[int]) -> None:
         kernel = self.kernel
@@ -86,7 +136,6 @@ class ExchangeTickPolicy(TickPolicy):
         policy = self.block_policy
         attempt = kernel.attempt
         tick = kernel.tick
-        matched: set[int] = set()
 
         # Server seeding: one free block per tick to a random client that
         # is interested in the server's content (i.e. incomplete).
@@ -129,34 +178,88 @@ class ExchangeTickPolicy(TickPolicy):
             if snapshot[v] and v not in absent and v not in riders
         ]
         rng.shuffle(order)
+        barred = None if seed_can_barter else seeded
+        nodes, rows = self._interest_rows(snapshot, order, barred)
+        m = len(nodes)
+        # ``pos[v]`` is v's bit in the rows; nodes outside the matrix map
+        # to bit m, which no row has, so they are never offered a partner.
+        pos = [m] * kernel.n
+        for i, v in enumerate(nodes):
+            pos[v] = i
+        complete = isinstance(graph, CompleteGraph)
+        free = (1 << m) - 1  # the unmatched rows
         for a in order:
-            if a in matched or (a == seeded and not seed_can_barter):
+            i = pos[a]
+            if not free >> i & 1:
                 continue
-            partners = [
-                b
-                for b in graph.neighbors(a)
-                if b != SERVER
-                and b not in matched
-                and b not in absent
-                and b not in riders
-                and (b != seeded or seed_can_barter)
-                and snapshot[a] & ~masks[b]
-                and snapshot[b] & ~masks[a]
-            ]
-            if not partners:
+            cand = rows[i] & free
+            if not cand:
                 continue
-            b = partners[rng.randrange(len(partners))]
+            if complete:
+                # neighbors(a) is ascending node order, which is bit order.
+                b = nodes[_nth_bit(cand, rng.randrange(cand.bit_count()))]
+            else:
+                partners = [b for b in graph.neighbors(a) if cand >> pos[b] & 1]
+                if not partners:
+                    continue
+                b = partners[rng.randrange(len(partners))]
             block_ab = policy.choose(snapshot[a] & ~masks[b], kernel, a, b)
             block_ba = policy.choose(snapshot[b] & ~masks[a], kernel, b, a)
             # Each direction is judged independently; the *attempts* stay
             # paired, which is what strict barter constrains.
             attempt(a, b, block_ab)
             attempt(b, a, block_ba)
-            matched.add(a)
-            matched.add(b)
+            free &= ~(1 << i | 1 << pos[b])
+
+    def _interest_rows(
+        self, snapshot: list[int], order: list[int], barred: int | None
+    ) -> tuple[list[int], list[int]]:
+        """Mutual interest among this tick's possible barter partners.
+
+        Returns ``(nodes, rows)``: ``nodes`` are the ascending clients
+        of ``order`` (``barred`` left out) that still lack a block, and
+        bit ``j`` of ``rows[i]`` says ``nodes[i]`` and ``nodes[j]`` each
+        hold, at tick start, a block the other lacks now; ``rows[m]`` is
+        0. For m nodes and ``w = ceil(k / 64)`` words this costs
+        O(m²·w) word operations but only O(m²) bytes: ``gives[a, b]``
+        is accumulated one word column at a time, so the largest
+        temporary is one ``m x m`` word matrix, never an ``m x m x w``
+        broadcast.
+        """
+        kernel = self.kernel
+        masks = kernel.state.masks
+        full = self._full
+        nodes = sorted(v for v in order if v != barred and masks[v] != full)
+        m = len(nodes)
+        if m < 2:
+            return nodes, [0] * (m + 1)
+        mirror = kernel.state.mirror
+        if mirror is not None:
+            index = np.array(nodes)
+            have = mirror.snap_words[index]
+            live = mirror.words[index]
+        else:
+            have = _words([snapshot[v] for v in nodes], self._nbytes)
+            live = _words([masks[v] for v in nodes], self._nbytes)
+        lacks = ~live
+        gives = np.zeros((m, m), dtype=bool)
+        cell = np.empty((m, m), dtype=np.uint64)
+        for j in range(have.shape[1]):
+            np.bitwise_and(have[:, j, None], lacks[:, j], out=cell)
+            gives |= cell != 0
+        mutual = gives & gives.T
+        packed = np.packbits(mutual, axis=1, bitorder="little").tobytes()
+        width = (m + 7) >> 3
+        rows = [
+            int.from_bytes(packed[at : at + width], "little")
+            for at in range(0, m * width, width)
+        ]
+        rows.append(0)
+        return nodes, rows
 
     def zero_tick_conclusive(self) -> bool:
-        """The partner scan is exhaustive, so a tick without a single
+        """The partner scan is exhaustive — the interest matrix tests
+        every pair of eligible clients — so a tick without a single
         attempt proves no legal move exists; the state can never change
         again (the kernel separately rules out fault-side revivals)."""
         return True

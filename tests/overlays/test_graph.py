@@ -96,6 +96,14 @@ class TestCompleteGraph:
             g.neighbors(v)
         assert len(g._cached_neighbors) <= 64
 
+    def test_neighbors_match_filter_definition_past_cache(self):
+        # Above 64 nodes most tuples are rebuilt on every call; each must
+        # still be every other node in ascending order.
+        g = CompleteGraph(200)
+        for v in range(200):
+            assert g.neighbors(v) == tuple(w for w in range(200) if w != v)
+        assert len(g._cached_neighbors) == 64
+
     def test_diameter_one(self):
         assert CompleteGraph(4).diameter() == 1
 
