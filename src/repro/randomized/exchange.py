@@ -247,6 +247,8 @@ class ExchangeTickPolicy(TickPolicy):
         for j in range(have.shape[1]):
             np.bitwise_and(have[:, j, None], lacks[:, j], out=cell)
             gives |= cell != 0
+        # The diagonal is clear (tick-start holdings are a subset of the
+        # live ones), so no client is ever its own candidate.
         mutual = gives & gives.T
         packed = np.packbits(mutual, axis=1, bitorder="little").tobytes()
         width = (m + 7) >> 3
