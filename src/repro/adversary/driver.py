@@ -14,8 +14,7 @@ attempt pipeline:
 
 * :meth:`free_riders_at` — the set of clients refusing to upload this
   tick (empty outside the plan's activation window); policies exclude
-  them from uploader selection exactly like the historical ``selfish``
-  set;
+  them from uploader selection;
 * :meth:`refuses` — whether the receiver has blacklisted the sender
   (strike-based defense); a refused attempt costs nothing and is not
   logged — the pair simply no longer talks;

@@ -4,9 +4,8 @@ The paper's central claim is that barter buys robustness against
 *non-cooperation*; this package supplies the non-cooperation. An
 :class:`AdversaryPlan` perturbs the swarm along three behavioral axes:
 
-* **free-riders** — clients that never upload, the generalization of the
-  bittorrent engine's ``selfish`` flag to every engine. They still
-  download (that is the point of free-riding); barter and credit
+* **free-riders** — clients that never upload, on every engine. They
+  still download (that is the point of free-riding); barter and credit
   mechanisms are what make the strategy expensive.
 * **polluters** — clients whose uploads are corrupted at a per-attempt
   ``pollution_rate``. A polluted transfer consumes the tick's upload and
@@ -31,8 +30,7 @@ that declares nothing is *null* and engines treat it exactly like no
 plan at all, which is what keeps clean runs bit-identical to
 adversary-free ones. A plan that needs no randomness at all (explicit
 free-riders only — no fractions, no pollution, no lies) costs zero RNG
-draws, which is what makes the ``selfish`` deprecation shim
-bit-identical to the historical behavior.
+draws.
 """
 
 from __future__ import annotations
@@ -169,8 +167,7 @@ class AdversaryPlan:
 
         Explicit free-riders alone are fully deterministic: no sampling,
         no per-attempt judging. Engines skip seeding the driver's RNG
-        stream for such plans, which keeps them bit-identical to the
-        equivalent static ``selfish`` configuration.
+        stream for such plans, so arming one shifts no other stream.
         """
         return (
             self.free_rider_fraction > 0.0

@@ -23,9 +23,9 @@ window). Two front ends wrap it:
 * :class:`AsyncEngine` — the continuous-time API
   (:class:`AsyncRunResult` with float times), used by the asynchrony
   extension experiment and the strategy tests;
-* :class:`AsyncKernelRun` — the registry adapter surface (``rng`` /
-  ``max_ticks`` / ``keep_log`` / ``faults`` / ``recovery`` / progress
-  callback) returning the uniform :class:`~repro.core.log.RunResult`.
+* :class:`AsyncKernelRun` — the registry adapter surface (the kernel's
+  run options and a progress callback) returning the uniform
+  :class:`~repro.core.log.RunResult`.
 
 Both carry the full fault model, including node crash/rejoin. With
 all rates equal to 1 this reduces to
@@ -43,8 +43,8 @@ from typing import Callable, Protocol
 
 from ..core.errors import ConfigError
 from ..core.log import RunResult
+from ..core.model import BandwidthModel
 from ..faults.plan import FaultPlan
-from ..faults.recovery import RecoveryPolicy
 from ..overlays.graph import Graph
 from ..sim.kernel import TickKernel
 from .policy import AsyncTickPolicy, AsyncTransfer, validate_rates
@@ -99,20 +99,13 @@ def _build_kernel(
     upload_rates: Sequence[float] | None,
     download_rates: Sequence[float] | None,
     parallel_downloads: int,
-    rng: random.Random | int | None,
-    max_ticks: int,
-    keep_log: bool,
-    faults: FaultPlan | None,
-    recovery: RecoveryPolicy | None,
-    workload=None,
-    adversary=None,
-    bandwidth=None,
-    telemetry=None,
+    **options,
 ) -> tuple[AsyncTickPolicy, TickKernel]:
     if n < 2:
         raise ConfigError(f"need a server and at least one client, got n={n}")
     if k < 1:
         raise ConfigError(f"file must have at least one block, got k={k}")
+    bandwidth = options.get("bandwidth")
     if (
         bandwidth is not None
         and not bandwidth.is_null
@@ -122,26 +115,19 @@ def _build_kernel(
             "bandwidth classes and explicit upload_rates/download_rates are "
             "two spellings of per-node capacity; pass one or the other"
         )
+    model = options.get("model")
+    if model is not None and model != BandwidthModel.symmetric():
+        raise ConfigError(
+            "the async engine takes per-node capacity from upload_rates/"
+            "download_rates or bandwidth classes, not a BandwidthModel"
+        )
     policy = AsyncTickPolicy(
         strategy,
         validate_rates(upload_rates, n, "upload"),
         validate_rates(download_rates, n, "download"),
         parallel_downloads,
     )
-    kernel = TickKernel(
-        n,
-        k,
-        policy,
-        rng=rng,
-        max_ticks=max_ticks,
-        keep_log=keep_log,
-        faults=faults,
-        recovery=recovery,
-        workload=workload,
-        adversary=adversary,
-        bandwidth=bandwidth,
-        telemetry=telemetry,
-    )
+    kernel = TickKernel(n, k, policy, **options)
     if kernel.bandwidth is not None:
         # Map the realized tier model onto the continuous-time rates: a
         # tier upload of u is u blocks per unit time, and an unbounded
@@ -211,7 +197,6 @@ class AsyncEngine:
             max_ticks=max(1, int(ceil(self.max_time - 1e-9))),
             keep_log=False,
             faults=faults,
-            recovery=None,
         )
         self.up = self.policy.up
         self.down = self.policy.down
@@ -264,11 +249,15 @@ class AsyncEngine:
 class AsyncKernelRun:
     """Registry surface for the asynchronous engine; see module docstring.
 
-    Parameters mirror the tick engines; ``strategy`` defaults to
+    ``strategy`` defaults to
     :class:`~repro.asynchronous.strategies.AsyncRandom` (the asynchronous
     analogue of the randomized cooperative algorithm), restricted to
-    ``overlay`` when one is given. ``max_ticks`` bounds simulated time
-    (one tick = one unit-time window).
+    ``overlay`` when one is given; the per-node rates are
+    :class:`AsyncEngine`'s. Every other keyword is a kernel run option
+    (see :class:`~repro.sim.kernel.TickKernel`); ``max_ticks`` bounds
+    simulated time (one tick = one unit-time window) and defaults to
+    ``50 * (k + n)``. Per-node capacity comes from the rates or from
+    ``bandwidth`` classes, never from a ``model``.
     """
 
     def __init__(
@@ -277,21 +266,16 @@ class AsyncKernelRun:
         k: int,
         overlay: Graph | None = None,
         strategy: AsyncStrategy | None = None,
-        rng: random.Random | int | None = None,
-        max_ticks: int | None = None,
-        keep_log: bool = True,
-        faults: FaultPlan | None = None,
-        recovery: RecoveryPolicy | None = None,
+        *,
         upload_rates: Sequence[float] | None = None,
         download_rates: Sequence[float] | None = None,
         parallel_downloads: int = 1,
-        workload=None,
-        adversary=None,
-        bandwidth=None,
-        telemetry=None,
+        **options,
     ) -> None:
         from .strategies import AsyncRandom
 
+        if options.get("max_ticks") is None:
+            options["max_ticks"] = 50 * (k + n)
         self.n, self.k = n, k
         self.policy, self.kernel = _build_kernel(
             n,
@@ -300,15 +284,7 @@ class AsyncKernelRun:
             upload_rates=upload_rates,
             download_rates=download_rates,
             parallel_downloads=parallel_downloads,
-            rng=rng,
-            max_ticks=max_ticks if max_ticks is not None else 50 * (k + n),
-            keep_log=keep_log,
-            faults=faults,
-            recovery=recovery,
-            workload=workload,
-            adversary=adversary,
-            bandwidth=bandwidth,
-            telemetry=telemetry,
+            **options,
         )
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:

@@ -35,14 +35,11 @@ of what it held at crash time.
 
 from __future__ import annotations
 
-import random
 from typing import Callable
 
 from ..core.errors import ConfigError
 from ..core.log import RunResult
-from ..core.model import SERVER, BandwidthModel
-from ..faults.plan import FaultPlan
-from ..faults.recovery import RecoveryPolicy
+from ..core.model import SERVER
 from ..overlays.graph import CompleteGraph, Graph
 from ..sim.kernel import TickKernel
 from ..sim.policy import TickPolicy
@@ -296,24 +293,22 @@ class CodingTickPolicy(TickPolicy):
 
 
 class NetworkCodingEngine:
-    """Tick-synchronous swarm exchanging random GF(2) combinations."""
+    """Tick-synchronous swarm exchanging random GF(2) combinations.
+
+    ``overlay`` (default: the complete graph) and ``field`` (``"binary"``
+    for GF(2), ``"ideal"`` for the large-field limit) are the engine's
+    own; every other keyword is a kernel run option (see
+    :class:`~repro.sim.kernel.TickKernel`).
+    """
 
     def __init__(
         self,
         n: int,
         k: int,
         overlay: Graph | None = None,
-        model: BandwidthModel | None = None,
-        rng: random.Random | int | None = None,
-        max_ticks: int | None = None,
+        *,
         field: str = "binary",
-        keep_log: bool = True,
-        faults: FaultPlan | None = None,
-        recovery: RecoveryPolicy | None = None,
-        workload=None,
-        adversary=None,
-        bandwidth=None,
-        telemetry=None,
+        **options,
     ) -> None:
         if n < 2:
             raise ConfigError(f"need a server and at least one client, got n={n}")
@@ -330,21 +325,7 @@ class NetworkCodingEngine:
         if graph.n != n:
             raise ConfigError(f"overlay has {graph.n} nodes, swarm has {n}")
         self.tick_policy = CodingTickPolicy(k, n, graph, field)
-        self.kernel = TickKernel(
-            n,
-            k,
-            self.tick_policy,
-            model=model,
-            rng=rng,
-            max_ticks=max_ticks,
-            keep_log=keep_log,
-            faults=faults,
-            recovery=recovery,
-            workload=workload,
-            adversary=adversary,
-            bandwidth=bandwidth,
-            telemetry=telemetry,
-        )
+        self.kernel = TickKernel(n, k, self.tick_policy, **options)
 
     @property
     def bases(self) -> list[Gf2Basis]:
@@ -360,11 +341,7 @@ class NetworkCodingEngine:
 
 
 def network_coding_run(
-    n: int,
-    k: int,
-    overlay: Graph | None = None,
-    rng: random.Random | int | None = None,
-    **kwargs,
+    n: int, k: int, overlay: Graph | None = None, **options
 ) -> RunResult:
     """One network-coded run; see :class:`NetworkCodingEngine`."""
-    return NetworkCodingEngine(n, k, overlay=overlay, rng=rng, **kwargs).run()
+    return NetworkCodingEngine(n, k, overlay, **options).run()

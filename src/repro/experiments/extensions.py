@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 
+from ..adversary.plan import AdversaryPlan
 from ..analysis.sweeps import derive_seed
 from ..asynchronous import AsyncEngine, AsyncHypercube, AsyncRandom
 from ..core.engine import execute_schedule
@@ -232,7 +233,7 @@ def extension_freerider(
     n, k = s.fig67_n, s.fig67_k
     degree = s.fig67_degrees[-1]
     riders = max(1, (n - 1) // 20)
-    selfish = set(range(1, riders + 1))
+    plan = AdversaryPlan(free_riders=range(1, riders + 1))
     rows: list[dict[str, object]] = []
 
     def run_case(name: str, runner) -> None:
@@ -242,8 +243,8 @@ def extension_freerider(
             seed = derive_seed(base_seed, name, i)
             result = runner(seed)
             holdings = result.meta["final_holdings"]
-            got.extend(holdings[v] for v in selfish)
-            compliant = [c for c in range(1, n) if c not in selfish]
+            got.extend(holdings[v] for v in plan.free_riders)
+            compliant = [c for c in range(1, n) if c not in plan.free_riders]
             compliant_done += sum(
                 1 for c in compliant if holdings[c] == k
             ) / len(compliant)
@@ -262,7 +263,7 @@ def extension_freerider(
 
         graph = random_regular_graph(n, degree, rng=seed)
         return RandomizedEngine(
-            n, k, overlay=graph, rng=seed + 1, selfish=selfish, keep_log=False
+            n, k, overlay=graph, rng=seed + 1, adversary=plan, keep_log=False
         ).run()
 
     def credit(limit):
@@ -277,7 +278,7 @@ def extension_freerider(
                 overlay=graph,
                 mechanism=CreditLimitedBarter(limit),
                 rng=seed + 1,
-                selfish=selfish,
+                adversary=plan,
                 max_ticks=s.fig67_max_ticks,
                 keep_log=False,
             ).run()
@@ -287,7 +288,7 @@ def extension_freerider(
     def bt(seed):
         graph = random_regular_graph(n, degree, rng=seed)
         return bittorrent_run(
-            n, k, overlay=graph, rng=seed + 1, selfish=selfish, keep_log=False
+            n, k, overlay=graph, rng=seed + 1, adversary=plan, keep_log=False
         )
 
     run_case("cooperative", coop)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..adversary.plan import AdversaryPlan
 from ..analysis.sweeps import derive_seed
 from ..core.errors import ConfigError
 from ..randomized.bittorrent import BitTorrentEngine
@@ -90,7 +91,7 @@ def throttle_response(
                         overlay=overlay,
                         rng=seed + 1,
                         max_ticks=max_ticks,
-                        selfish=frozenset({strategic}),
+                        adversary=AdversaryPlan(free_riders=(strategic,)),
                     )
                 else:
                     run_engine = BitTorrentEngine(

@@ -10,11 +10,8 @@ the block-selection policy.
 
 from __future__ import annotations
 
-import random
-
 from ..core.log import RunResult
 from ..core.mechanisms import CreditLimitedBarter
-from ..core.model import BandwidthModel
 from ..overlays.dynamic import DynamicOverlay
 from ..overlays.graph import Graph
 from .engine import RandomizedEngine
@@ -29,14 +26,11 @@ def randomized_barter_run(
     credit_limit: int = 1,
     overlay: Graph | DynamicOverlay | None = None,
     policy: BlockPolicy | None = None,
-    model: BandwidthModel | None = None,
-    rng: random.Random | int | None = None,
-    max_ticks: int | None = None,
-    keep_log: bool = True,
-    faults=None,
-    recovery=None,
+    **options,
 ) -> RunResult:
-    """One randomized credit-limited run; see :class:`RandomizedEngine`.
+    """One randomized credit-limited run; see :class:`RandomizedEngine`,
+    which takes every other keyword (``throttle`` and the kernel's run
+    options).
 
     A run that fails to converge within ``max_ticks`` (the fate of
     low-degree overlays with small ``s``, per Figure 6) returns a result
@@ -47,17 +41,6 @@ def randomized_barter_run(
     >>> result.completed
     True
     """
-    engine = RandomizedEngine(
-        n,
-        k,
-        overlay=overlay,
-        policy=policy,
-        mechanism=CreditLimitedBarter(credit_limit),
-        model=model,
-        rng=rng,
-        max_ticks=max_ticks,
-        keep_log=keep_log,
-        faults=faults,
-        recovery=recovery,
-    )
-    return engine.run()
+    return RandomizedEngine(
+        n, k, overlay, policy, CreditLimitedBarter(credit_limit), **options
+    ).run()

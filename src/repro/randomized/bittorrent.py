@@ -15,12 +15,9 @@ BitTorrent within the same tick model so both claims can be measured:
   random *interested* peer among those it currently unchokes;
 * the seed (server) has no reciprocation to rank, so it unchokes random
   interested neighbors each window;
-* ``selfish`` clients never upload; they ride optimistic unchokes only —
-  the loophole the paper calls out. Since :mod:`repro.adversary` landed,
-  ``selfish=`` is a compatibility shim lowered onto
-  ``AdversaryPlan(free_riders=...)`` (bit-identically); new code should
-  pass ``adversary=`` directly, which also generalises free-riding to
-  the other five engines.
+* free-riders (``adversary=AdversaryPlan(free_riders=...)``) never
+  upload; they ride optimistic unchokes only — the loophole the paper
+  calls out.
 
 Running on the :mod:`repro.sim` kernel gives this engine the full fault
 model: transfer loss, link/server outages, stall abort, progress
@@ -33,16 +30,12 @@ reciprocation slots again.
 
 from __future__ import annotations
 
-import dataclasses
-import random
 from collections import defaultdict
 from typing import Callable
 
 from ..core.errors import ConfigError
 from ..core.log import RunResult
-from ..core.model import SERVER, BandwidthModel
-from ..faults.plan import FaultPlan
-from ..faults.recovery import RecoveryPolicy
+from ..core.model import SERVER
 from ..overlays.graph import CompleteGraph, Graph
 from ..sim.kernel import TickKernel
 from ..sim.policy import TickPolicy
@@ -66,7 +59,6 @@ class BitTorrentTickPolicy(TickPolicy):
         unchoke_slots: int,
         optimistic_slots: int,
         rechoke_period: int,
-        selfish: frozenset[int],
         per_node_unchoke: dict[int, int],
         tier_weighted_unchoke: bool = False,
     ) -> None:
@@ -75,7 +67,6 @@ class BitTorrentTickPolicy(TickPolicy):
         self.unchoke_slots = unchoke_slots
         self.optimistic_slots = optimistic_slots
         self.rechoke_period = rechoke_period
-        self.selfish = selfish
         self.per_node_unchoke = per_node_unchoke
         self.tier_weighted_unchoke = tier_weighted_unchoke
         # received_window[v][u]: blocks v got from u in the current window.
@@ -156,11 +147,11 @@ class BitTorrentTickPolicy(TickPolicy):
         masks = kernel.state.masks
         rng = kernel.rng
         dl_left = kernel.download_ledger
-        selfish = self.selfish
-        if kernel.adversary is not None:
-            riders = kernel.adversary.free_riders_at(kernel.tick)
-            if riders:
-                selfish = selfish | riders
+        riders = (
+            kernel.adversary.free_riders_at(kernel.tick)
+            if kernel.adversary is not None
+            else frozenset()
+        )
         attempt = kernel.attempt
         choose = self.block_policy.choose
         server_ok = kernel.server_available()
@@ -168,7 +159,7 @@ class BitTorrentTickPolicy(TickPolicy):
         uploaders = [
             v
             for v in range(kernel.n)
-            if snapshot[v] and v not in selfish and (v != SERVER or server_ok)
+            if snapshot[v] and v not in riders and (v != SERVER or server_ok)
         ]
         rng.shuffle(uploaders)
         model = kernel.model
@@ -296,7 +287,6 @@ class BitTorrentTickPolicy(TickPolicy):
             "rechoke_period": self.rechoke_period,
             "uploads_per_tick": kernel.uploads_per_tick,
             "final_holdings": [m.bit_count() for m in kernel.state.masks],
-            "selfish": sorted(self.selfish),
             **(
                 {"tier_weighted_unchoke": True}
                 if self.tier_weighted_unchoke
@@ -306,7 +296,13 @@ class BitTorrentTickPolicy(TickPolicy):
 
 
 class BitTorrentEngine:
-    """Tick-synchronous BitTorrent-like swarm; see module docstring."""
+    """Tick-synchronous BitTorrent-like swarm; see module docstring.
+
+    The overlay, choking parameters, block policy, ``per_node_unchoke``
+    (a strategic client's own slot count) and ``tier_weighted_unchoke``
+    are the engine's own; every other keyword is a kernel run option
+    (see :class:`~repro.sim.kernel.TickKernel`).
+    """
 
     def __init__(
         self,
@@ -317,19 +313,10 @@ class BitTorrentEngine:
         optimistic_slots: int = 1,
         rechoke_period: int = 10,
         policy: BlockPolicy | None = None,
-        model: BandwidthModel | None = None,
-        rng: random.Random | int | None = None,
-        max_ticks: int | None = None,
-        keep_log: bool = True,
-        selfish: frozenset[int] | set[int] = frozenset(),
+        *,
         per_node_unchoke: dict[int, int] | None = None,
-        faults: FaultPlan | None = None,
-        recovery: RecoveryPolicy | None = None,
-        workload=None,
-        adversary=None,
-        bandwidth=None,
-        telemetry=None,
         tier_weighted_unchoke: bool = False,
+        **options,
     ) -> None:
         if unchoke_slots < 1:
             raise ConfigError(f"need at least one unchoke slot, got {unchoke_slots}")
@@ -342,30 +329,6 @@ class BitTorrentEngine:
         if graph.n != n:
             raise ConfigError(f"overlay has {graph.n} nodes, swarm has {n}")
         self.policy = policy or RarestFirstPolicy()
-        self.selfish = frozenset(selfish)
-        if SERVER in self.selfish:
-            raise ConfigError("the seed cannot be selfish")
-        # Deprecation shim: ``selfish=`` predates :mod:`repro.adversary`
-        # and is kept working by lowering it onto the free-rider axis of
-        # an :class:`~repro.adversary.plan.AdversaryPlan` (merged into
-        # any plan passed explicitly). An explicit rider tuple costs the
-        # adversary stream zero RNG draws, so lowered runs stay
-        # bit-identical to the historical policy-level exclusion
-        # (golden-tested in ``tests/adversary``).
-        if self.selfish:
-            from ..adversary.plan import AdversaryPlan
-
-            if adversary is None or adversary.is_null:
-                adversary = AdversaryPlan(
-                    free_riders=tuple(sorted(self.selfish))
-                )
-            else:
-                adversary = dataclasses.replace(
-                    adversary,
-                    free_riders=tuple(
-                        sorted(set(adversary.free_riders) | self.selfish)
-                    ),
-                )
         # A strategic client may run fewer (or more) reciprocation slots
         # than the protocol default; everyone else keeps `unchoke_slots`.
         per_node_unchoke = dict(per_node_unchoke or {})
@@ -380,36 +343,17 @@ class BitTorrentEngine:
             unchoke_slots=unchoke_slots,
             optimistic_slots=optimistic_slots,
             rechoke_period=rechoke_period,
-            selfish=self.selfish,
             per_node_unchoke=per_node_unchoke,
             tier_weighted_unchoke=tier_weighted_unchoke,
         )
-        self.kernel = TickKernel(
-            n,
-            k,
-            self.tick_policy,
-            model=model,
-            rng=rng,
-            max_ticks=max_ticks,
-            keep_log=keep_log,
-            faults=faults,
-            recovery=recovery,
-            workload=workload,
-            adversary=adversary,
-            bandwidth=bandwidth,
-            telemetry=telemetry,
-        )
+        self.kernel = TickKernel(n, k, self.tick_policy, **options)
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         return self.kernel.run(progress)
 
 
 def bittorrent_run(
-    n: int,
-    k: int,
-    overlay: Graph | None = None,
-    rng: random.Random | int | None = None,
-    **kwargs,
+    n: int, k: int, overlay: Graph | None = None, **options
 ) -> RunResult:
     """One BitTorrent-style run; see :class:`BitTorrentEngine`."""
-    return BitTorrentEngine(n, k, overlay=overlay, rng=rng, **kwargs).run()
+    return BitTorrentEngine(n, k, overlay, **options).run()

@@ -19,12 +19,10 @@ can revive a stalled barter swarm — which the churn ablation shows).
 
 from __future__ import annotations
 
-import random
-
 from ..core.errors import ConfigError
 from ..core.log import RunResult
 from ..core.mechanisms import Mechanism
-from ..core.model import SERVER, BandwidthModel
+from ..core.model import SERVER
 from ..overlays.dynamic import DynamicOverlay
 from ..overlays.graph import Graph
 from .engine import RandomizedEngine, RandomizedTickPolicy
@@ -166,7 +164,8 @@ class ChurnTickPolicy(RandomizedTickPolicy):
 class ChurnEngine(RandomizedEngine):
     """Randomized engine with scheduled client arrivals and departures.
 
-    Parameters beyond :class:`RandomizedEngine`:
+    Parameters beyond :class:`RandomizedEngine` (which takes the
+    overlay, block policy, mechanism and the kernel's run options):
 
     arrivals:
         Mapping ``client -> tick`` (1-based) at which it joins; clients
@@ -193,38 +192,14 @@ class ChurnEngine(RandomizedEngine):
         overlay: Graph | DynamicOverlay | None = None,
         policy: BlockPolicy | None = None,
         mechanism: Mechanism | None = None,
-        model: BandwidthModel | None = None,
-        rng: random.Random | int | None = None,
-        max_ticks: int | None = None,
-        keep_log: bool = True,
+        *,
         arrivals: dict[int, int] | None = None,
         departures: dict[int, int] | None = None,
-        faults=None,
-        recovery=None,
-        backend: object | None = None,
-        workload=None,
-        adversary=None,
-        bandwidth=None,
-        telemetry=None,
+        **options,
     ) -> None:
-        super().__init__(
-            n,
-            k,
-            overlay=overlay,
-            policy=policy,
-            mechanism=mechanism,
-            model=model,
-            rng=rng,
-            max_ticks=max_ticks,
-            keep_log=keep_log,
-            faults=faults,
-            recovery=recovery,
-            backend=backend,
-            workload=workload,
-            adversary=adversary,
-            bandwidth=bandwidth,
-            telemetry=telemetry,
-        )
+        # Churn runs are unthrottled: a ``throttle=`` keyword collides
+        # with this one and raises TypeError.
+        super().__init__(n, k, overlay, policy, mechanism, throttle=None, **options)
         arrivals = dict(arrivals or {})
         departures = dict(departures or {})
         for label, table in (("arrival", arrivals), ("departure", departures)):
@@ -271,9 +246,9 @@ def churn_run(
     k: int,
     arrivals: dict[int, int] | None = None,
     departures: dict[int, int] | None = None,
-    **kwargs,
+    **options,
 ) -> RunResult:
     """One randomized run under churn; see :class:`ChurnEngine`."""
     return ChurnEngine(
-        n, k, arrivals=arrivals, departures=departures, **kwargs
+        n, k, arrivals=arrivals, departures=departures, **options
     ).run()

@@ -8,11 +8,8 @@ algorithm behind the paper's Figures 3-5.
 
 from __future__ import annotations
 
-import random
-
 from ..core.log import RunResult
 from ..core.mechanisms import Cooperative
-from ..core.model import BandwidthModel
 from ..overlays.dynamic import DynamicOverlay
 from ..overlays.graph import Graph
 from .engine import RandomizedEngine
@@ -26,14 +23,11 @@ def randomized_cooperative_run(
     k: int,
     overlay: Graph | DynamicOverlay | None = None,
     policy: BlockPolicy | None = None,
-    model: BandwidthModel | None = None,
-    rng: random.Random | int | None = None,
-    max_ticks: int | None = None,
-    keep_log: bool = True,
-    faults=None,
-    recovery=None,
+    **options,
 ) -> RunResult:
-    """One randomized cooperative run; see :class:`RandomizedEngine`.
+    """One randomized cooperative run; see :class:`RandomizedEngine`,
+    which takes every other keyword (``throttle`` and the kernel's run
+    options).
 
     Defaults mirror the paper's Figure 3 setup: complete-graph overlay and
     Random block selection (pass an overlay / policy to change), with
@@ -44,17 +38,4 @@ def randomized_cooperative_run(
     >>> result.completed
     True
     """
-    engine = RandomizedEngine(
-        n,
-        k,
-        overlay=overlay,
-        policy=policy,
-        mechanism=Cooperative(),
-        model=model,
-        rng=rng,
-        max_ticks=max_ticks,
-        keep_log=keep_log,
-        faults=faults,
-        recovery=recovery,
-    )
-    return engine.run()
+    return RandomizedEngine(n, k, overlay, policy, Cooperative(), **options).run()

@@ -30,7 +30,6 @@ Since the :mod:`repro.sim` refactor the mechanics live in
 
 from __future__ import annotations
 
-import random
 from functools import reduce
 from itertools import islice
 from operator import and_
@@ -42,9 +41,7 @@ from ..core.blocks import bit_indices
 from ..core.errors import ConfigError
 from ..core.log import RunResult
 from ..core.mechanisms import Cooperative, CreditLimitedBarter, Mechanism
-from ..core.model import SERVER, BandwidthModel
-from ..faults.plan import FaultPlan
-from ..faults.recovery import RecoveryPolicy
+from ..core.model import SERVER
 from ..overlays.dynamic import DynamicOverlay
 from ..overlays.graph import CompleteGraph, Graph
 from ..sim.array.state import _WBIT
@@ -61,8 +58,8 @@ class RandomizedTickPolicy(TickPolicy):
     """Randomized uniform-neighbor sampling as a kernel policy.
 
     Holds the decision-side configuration (block policy, barter gate,
-    free-riders, throttling, overlay); the kernel owns the swarm state,
-    capacity, faults and logging. Construct through
+    throttling, overlay); the kernel owns the swarm state, capacity,
+    faults, free-riders and logging. Construct through
     :class:`RandomizedEngine`, which validates arguments.
     """
 
@@ -76,14 +73,12 @@ class RandomizedTickPolicy(TickPolicy):
         block_policy: BlockPolicy,
         mechanism: Mechanism,
         *,
-        selfish: frozenset[int] = frozenset(),
         throttle: dict[int, float] | None = None,
         graph: Graph | None = None,
         dynamic: DynamicOverlay | None = None,
     ) -> None:
         self.block_policy = block_policy
         self.mechanism = mechanism
-        self.selfish = frozenset(selfish)
         self.throttle = dict(throttle or {})
         self._graph = graph
         self._dynamic = dynamic
@@ -120,17 +115,17 @@ class RandomizedTickPolicy(TickPolicy):
         if complete_graph:
             kernel.activate_receiver_pool()
 
-        selfish = self.selfish
-        if kernel.adversary is not None:
-            riders = kernel.adversary.free_riders_at(kernel.tick)
-            if riders:
-                selfish = selfish | riders
+        riders = (
+            kernel.adversary.free_riders_at(kernel.tick)
+            if kernel.adversary is not None
+            else frozenset()
+        )
         throttle = self.throttle
         uploaders = [
             v
             for v in range(1, kernel.n)
             if snapshot[v]
-            and v not in selfish
+            and v not in riders
             and (not throttle or (p := throttle.get(v)) is None or rng.random() >= p)
         ]
         if kernel.server_available():
@@ -265,17 +260,16 @@ class RandomizedTickPolicy(TickPolicy):
         self._pool_and = 0
 
         # Uploaders: nodes holding data at tick start, ascending, minus
-        # free-riders and throttle skips (same draw order as the scalar
-        # listcomp over range(1, n)); held[0] is always the server.
+        # throttle skips (same draw order as the scalar listcomp over
+        # range(1, n); no adversary, so no free-riders); held[0] is
+        # always the server.
         held = np.flatnonzero(snap_words.any(axis=1)).tolist()
-        selfish = self.selfish
         throttle = self.throttle
         rnd = rng.random
         uploaders = [
             v
             for v in held[1:]
-            if v not in selfish
-            and (not throttle or (p := throttle.get(v)) is None or rnd() >= p)
+            if not throttle or (p := throttle.get(v)) is None or rnd() >= p
         ]
         if kernel.server_available():
             uploaders.append(SERVER)
@@ -563,7 +557,7 @@ class RandomizedTickPolicy(TickPolicy):
 
     def result_meta(self) -> dict[str, object]:
         kernel = self.kernel
-        meta: dict[str, object] = {
+        return {
             "algorithm": self.name,
             "policy": self.block_policy.name,
             "mechanism": self.mechanism.name,
@@ -572,9 +566,6 @@ class RandomizedTickPolicy(TickPolicy):
             "uploads_per_tick": kernel.uploads_per_tick,
             "final_holdings": [m.bit_count() for m in kernel.state.masks],
         }
-        if self.selfish:
-            meta["selfish"] = sorted(self.selfish)
-        return meta
 
 
 class RandomizedEngine:
@@ -596,67 +587,24 @@ class RandomizedEngine:
     policy:
         Block-selection policy; defaults to Random.
     mechanism:
-        ``Cooperative()`` (default) or ``CreditLimitedBarter(s)``.
-        Strict barter needs paired exchanges and has its own engine
-        (:mod:`repro.randomized.exchange`).
-    model:
-        Bandwidth model; defaults to ``d = u`` (one download per tick).
-    rng:
-        A :class:`random.Random`, a seed, or ``None``.
-    max_ticks:
-        Abort threshold; a run that exceeds it returns an incomplete
-        :class:`~repro.core.log.RunResult` (``completion_time is None``).
-    keep_log:
-        Record every transfer (needed for verification and efficiency
-        traces); switch off to save memory on huge sweeps — per-tick
-        upload counts are kept either way.
-    selfish:
-        Client ids that *never upload* (free-riders). Under the
-        cooperative mechanism they lose nothing; under credit-limited
-        barter they exhaust their ``s``-per-neighbor credit and starve —
-        the incentive loophole of Section 3.2.1. The run's
-        ``meta["final_holdings"]`` records how far each node got.
+        ``Cooperative()`` (default) or ``CreditLimitedBarter(s)``, whose
+        ledger the kernel charges. Strict barter needs paired exchanges
+        and has its own engine (:mod:`repro.randomized.exchange`).
     throttle:
         Mapping ``client -> p`` where a throttled client *skips* each
         tick's upload independently with probability ``p`` (0 = fully
         compliant, 1 = free-rider). The strategic knob for incentive
-        analysis (:mod:`repro.incentives`).
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan`. A null plan (all
-        rates zero, no windows) is normalised to "no faults" and the run
-        stays bit-identical to one without the argument. Otherwise an
-        injector with its own RNG stream judges every attempted transfer
-        (a failed attempt consumes bandwidth and credit but delivers
-        nothing), crashes/rejoins clients at tick starts, and sits the
-        server out during outage windows.
-    recovery:
-        :class:`~repro.faults.recovery.RecoveryPolicy` governing stall
-        detection (the generalisation of the conclusive zero-transfer
-        deadlock abort, which stochastic faults make inconclusive) and
-        optional server reseeding of blocks that crashes made
-        server-only again. Only consulted when ``faults`` is active.
-    backend:
-        ``"loop"``/``None`` (default) or ``"array"`` — forwarded to
-        :class:`~repro.sim.kernel.TickKernel`; the array backend runs
-        clean cooperative complete-graph ticks vectorized over packed
-        ownership words, every other tick on the scalar path, with
-        byte-identical results (see :mod:`repro.sim.array`).
-    adversary:
-        Optional :class:`~repro.adversary.plan.AdversaryPlan`. A null
-        plan is normalised to "no adversaries" and the run stays
-        bit-identical to one without the argument; otherwise the kernel
-        realises free-riders (excluded from uploading like ``selfish``),
-        polluters and liars per the plan from a dedicated RNG stream.
-    bandwidth:
-        Optional :class:`~repro.core.bandwidth.BandwidthClasses`. A null
-        spec is the uniform model (bit-identical runs); otherwise tiers
-        are realized per node and this engine honors both axes
-        (``bandwidth_support='full'``): fast tiers upload several blocks
-        per tick and are charged per-node download capacities.
-    telemetry:
-        Optional :class:`~repro.telemetry.TelemetrySpec`; digests the
-        completed log into ``meta["telemetry"]`` (requires
-        ``keep_log=True``, never perturbs the run).
+        analysis (:mod:`repro.incentives`). Clients that never upload at
+        all are an ``AdversaryPlan(free_riders=...)``: under credit-limited
+        barter they exhaust their ``s``-per-neighbor credit and starve —
+        the incentive loophole of Section 3.2.1.
+    **options:
+        The kernel's run options (``model``, ``rng``, ``max_ticks``,
+        ``keep_log``, ``faults``, ``recovery``, ``backend`` and the
+        scenario axes), documented once on
+        :class:`~repro.sim.kernel.TickKernel`. The array backend runs
+        clean cooperative complete-graph ticks vectorized, every other
+        tick on the scalar path, with byte-identical results.
     """
 
     _tick_policy_cls = RandomizedTickPolicy
@@ -668,19 +616,9 @@ class RandomizedEngine:
         overlay: Graph | DynamicOverlay | None = None,
         policy: BlockPolicy | None = None,
         mechanism: Mechanism | None = None,
-        model: BandwidthModel | None = None,
-        rng: random.Random | int | None = None,
-        max_ticks: int | None = None,
-        keep_log: bool = True,
-        selfish: frozenset[int] | set[int] = frozenset(),
+        *,
         throttle: dict[int, float] | None = None,
-        faults: FaultPlan | None = None,
-        recovery: RecoveryPolicy | None = None,
-        backend: object | None = None,
-        workload=None,
-        adversary=None,
-        bandwidth=None,
-        telemetry=None,
+        **options,
     ) -> None:
         self.n, self.k = n, k
         self.policy = policy or RandomPolicy()
@@ -697,11 +635,6 @@ class RandomizedEngine:
                 f"overlay has {graph.n} nodes but the swarm has {n}"
             )
 
-        self.selfish = frozenset(selfish)
-        if SERVER in self.selfish:
-            raise ConfigError("the server cannot be selfish (it is the source)")
-        if not self.selfish <= set(range(1, n)):
-            raise ConfigError(f"selfish ids must be clients 1..{n - 1}")
         for node, p in (throttle or {}).items():
             if node == SERVER or not 1 <= node < n:
                 raise ConfigError(f"throttle for invalid client {node}")
@@ -711,39 +644,17 @@ class RandomizedEngine:
         # identical to no throttle (no RNG draws are spent on it).
         self.throttle = {node: p for node, p in (throttle or {}).items() if p > 0}
 
-        self.tick_policy = self._build_tick_policy(graph, dynamic)
-        credit = (
-            self.mechanism if isinstance(self.mechanism, CreditLimitedBarter) else None
-        )
-        self.kernel = TickKernel(
-            n,
-            k,
-            self.tick_policy,
-            model=model,
-            rng=rng,
-            max_ticks=max_ticks,
-            keep_log=keep_log,
-            faults=faults,
-            recovery=recovery,
-            credit=credit,
-            backend=backend,
-            workload=workload,
-            adversary=adversary,
-            bandwidth=bandwidth,
-            telemetry=telemetry,
-        )
-
-    def _build_tick_policy(
-        self, graph: Graph, dynamic: DynamicOverlay | None
-    ) -> RandomizedTickPolicy:
-        return self._tick_policy_cls(
+        self.tick_policy = self._tick_policy_cls(
             self.policy,
             self.mechanism,
-            selfish=self.selfish,
             throttle=self.throttle,
             graph=graph,
             dynamic=dynamic,
         )
+        credit = (
+            self.mechanism if isinstance(self.mechanism, CreditLimitedBarter) else None
+        )
+        self.kernel = TickKernel(n, k, self.tick_policy, credit=credit, **options)
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         """Run until every client completes or ``max_ticks`` elapse.

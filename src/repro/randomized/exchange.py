@@ -39,16 +39,13 @@ facade and :func:`randomized_exchange_run` the one-call entry point.
 
 from __future__ import annotations
 
-import random
 from typing import Callable
 
 import numpy as np
 
 from ..core.errors import ConfigError
 from ..core.log import RunResult
-from ..core.model import SERVER, BandwidthModel
-from ..faults.plan import FaultPlan
-from ..faults.recovery import RecoveryPolicy
+from ..core.model import SERVER
 from ..overlays.graph import CompleteGraph, Graph
 from ..sim.kernel import TickKernel
 from ..sim.policy import TickPolicy
@@ -293,6 +290,10 @@ class ExchangeTickPolicy(TickPolicy):
 class ExchangeEngine:
     """Randomized strict-barter exchange swarm; see module docstring.
 
+    ``overlay`` (default: the complete graph) and the block ``policy``
+    are the engine's own; every other keyword is a kernel run option
+    (see :class:`~repro.sim.kernel.TickKernel`).
+
     A strict-barter swarm can deadlock short of completion (no pair has
     mutual interest and the server cannot help); a zero-transfer tick
     proves it and the run aborts with ``meta["deadlocked"] = True``.
@@ -307,17 +308,7 @@ class ExchangeEngine:
         k: int,
         overlay: Graph | None = None,
         policy: BlockPolicy | None = None,
-        model: BandwidthModel | None = None,
-        rng: random.Random | int | None = None,
-        max_ticks: int | None = None,
-        keep_log: bool = True,
-        faults: FaultPlan | None = None,
-        recovery: RecoveryPolicy | None = None,
-        backend: object | None = None,
-        workload=None,
-        adversary=None,
-        bandwidth=None,
-        telemetry=None,
+        **options,
     ) -> None:
         self.n, self.k = n, k
         self.policy = policy or RandomPolicy()
@@ -327,22 +318,7 @@ class ExchangeEngine:
                 f"overlay has {graph.n} nodes but the swarm has {n}"
             )
         self.tick_policy = ExchangeTickPolicy(self.policy, graph)
-        self.kernel = TickKernel(
-            n,
-            k,
-            self.tick_policy,
-            model=model,
-            rng=rng,
-            max_ticks=max_ticks,
-            keep_log=keep_log,
-            faults=faults,
-            recovery=recovery,
-            backend=backend,
-            workload=workload,
-            adversary=adversary,
-            bandwidth=bandwidth,
-            telemetry=telemetry,
-        )
+        self.kernel = TickKernel(n, k, self.tick_policy, **options)
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         return self.kernel.run(progress)
@@ -353,32 +329,8 @@ def randomized_exchange_run(
     k: int,
     overlay: Graph | None = None,
     policy: BlockPolicy | None = None,
-    model: BandwidthModel | None = None,
-    rng: random.Random | int | None = None,
-    max_ticks: int | None = None,
-    keep_log: bool = True,
-    faults: FaultPlan | None = None,
-    recovery: RecoveryPolicy | None = None,
-    backend: object | None = None,
-    adversary=None,
-    bandwidth=None,
-    telemetry=None,
+    **options,
 ) -> RunResult:
     """Run randomized strict-barter exchange until completion or timeout;
     see :class:`ExchangeEngine`."""
-    return ExchangeEngine(
-        n,
-        k,
-        overlay=overlay,
-        policy=policy,
-        model=model,
-        rng=rng,
-        max_ticks=max_ticks,
-        keep_log=keep_log,
-        faults=faults,
-        recovery=recovery,
-        backend=backend,
-        adversary=adversary,
-        bandwidth=bandwidth,
-        telemetry=telemetry,
-    ).run()
+    return ExchangeEngine(n, k, overlay, policy, **options).run()

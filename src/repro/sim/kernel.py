@@ -192,7 +192,7 @@ class _Adversary(Axis):
 
     def needs_seed(self, plan):
         # A purely deterministic plan (explicit free-riders only) draws
-        # nothing, which keeps the ``selfish=`` shim bit-identical.
+        # nothing, so it shifts no other stream of the run.
         return plan.needs_rng
 
     def arm(self, kernel, plan, seed):
@@ -284,6 +284,10 @@ AXES: tuple[Axis, ...] = (
 
 class TickKernel:
     """One tick-synchronous run of one policy; see module docstring.
+
+    Every engine facade and ``*_run`` helper forwards its keywords past
+    its own decision parameters here, so this is the one place the run
+    options are documented; an unknown keyword raises ``TypeError``.
 
     Parameters
     ----------

@@ -14,7 +14,13 @@ Concrete policies live next to the engines they power:
 * the same with scheduled churn — :mod:`repro.randomized.churn`;
 * strict-barter pairwise exchange — :mod:`repro.randomized.exchange`;
 * BitTorrent choking — :mod:`repro.randomized.bittorrent`;
-* GF(2) network coding — :mod:`repro.coding.engine`.
+* GF(2) network coding — :mod:`repro.coding.engine`;
+* continuous-time event windows — :mod:`repro.asynchronous.policy`.
+
+Each engine's construction facade takes only that policy's decision
+parameters (overlay, block policy, mechanism, ...) and passes every
+other keyword to :class:`~repro.sim.kernel.TickKernel`, whose docstring
+is the one reference for the run options.
 
 Every policy carries the full fault model and open-system workloads. A
 policy declares how much of the adversary and bandwidth-class models it

@@ -1,13 +1,14 @@
 """The engine registry: construct any simulation engine by name.
 
 The paper's point is comparing *mechanisms* under one model; the registry
-is that comparison surface in code. Every entry accepts the same kernel
-options (``rng``, ``max_ticks``, ``keep_log``, ``faults``, ``recovery``,
-and a ``progress`` callback on :func:`run_engine`) and returns a
-:class:`~repro.core.log.RunResult` with the uniform
-``None | deadlock | stall | max-ticks`` abort verdict — which is what
-lets experiment runners, campaign factories and the fault suite treat
-engines as data::
+is that comparison surface in code. Every entry declares only its own
+decision parameters and forwards every other keyword to
+:class:`~repro.sim.kernel.TickKernel`, so all of them accept the same
+run options (documented once there), plus a ``progress`` callback on
+:func:`run_engine`. Each returns a :class:`~repro.core.log.RunResult`
+with the uniform ``None | deadlock | stall | max-ticks`` abort verdict —
+which is what lets experiment runners, campaign factories and the
+scenario suites treat engines as data::
 
     from repro.sim import run_engine
 
@@ -196,7 +197,7 @@ def create_engine(name: str, n: int, k: int, **kwargs: Any) -> Any:
     ``backend=`` is resolved here: ``None`` means the ambient default
     (which only array-capable engines follow); an explicit value is
     checked against ``EngineSpec.array_backend`` so the error names the
-    engine rather than surfacing as an unexpected-keyword ``TypeError``.
+    engine and lists the ones that do support it.
     """
     spec = ENGINES.get(name)
     if spec is None:

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.adversary import AdversaryPlan, adversary_run
+from repro.adversary import AdversaryPlan
 from repro.core.errors import ConfigError
 from repro.core.mechanisms import CreditLimitedBarter, StrictBarter
 from repro.core.serde import log_from_dict, log_to_dict
@@ -46,8 +46,8 @@ ENGINE_KW = {
 def _run(engine, plan, n=12, k=6, rng=11, **kw):
     kwargs = dict(ENGINE_KW[engine])
     kwargs.update(kw)
-    return adversary_run(
-        engine, n, k, plan, rng=rng, max_ticks=2000, **kwargs
+    return run_engine(
+        engine, n, k, adversary=plan, rng=rng, max_ticks=2000, **kwargs
     )
 
 

@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from repro.adversary import AdversaryPlan, adversary_run
+from repro.adversary import AdversaryPlan
 from repro.core.verify import verify_log
+from repro.sim.registry import run_engine
 
 pytestmark = pytest.mark.adversary
 
@@ -71,7 +72,7 @@ def test_fuzz_full_support_engines(engine, seed):
     plan = _random_plan(rng)
     if plan.is_null:
         plan = AdversaryPlan(free_riders=(2,))
-    r = adversary_run(engine, 12, 6, plan, rng=seed, max_ticks=2000)
+    r = run_engine(engine, 12, 6, adversary=plan, rng=seed, max_ticks=2000)
     _verify_run(r, plan, 12, 6, slack=1 if engine == "async" else 0)
 
 
@@ -81,7 +82,7 @@ def test_fuzz_coding_riders(seed):
     plan = _random_plan(rng, riders_only=True)
     if plan.is_null:
         plan = AdversaryPlan(free_riders=(2,))
-    r = adversary_run("coding", 12, 6, plan, rng=seed, max_ticks=2000)
+    r = run_engine("coding", 12, 6, adversary=plan, rng=seed, max_ticks=2000)
     assert r.log.polluted_count == 0
     if r.completed:
         assert r.abort is None

@@ -1,14 +1,13 @@
-"""Null-plan conformance and the ``selfish`` deprecation shim.
+"""Null-plan conformance and the explicit free-rider plan.
 
 Two bit-identity guarantees pin the adversary layer's zero-cost paths:
 
 * attaching a **null** :class:`AdversaryPlan` to any golden fixture
   reproduces the stored fingerprint byte for byte — arming the layer
   without declaring adversaries costs nothing, on every engine family;
-* the historical ``selfish=`` engine flag now lowers onto free-rider
-  plans, and the lowering is exact: the pre-existing selfish golden
-  fixture replays identically through an explicit plan, and the
-  bittorrent shim merges ``selfish`` into whatever plan is present.
+* an explicit free-rider plan draws no RNG: the selfish golden fixture,
+  captured from the engines' former ``selfish=`` flag, replays
+  identically through ``AdversaryPlan(free_riders=...)``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 
 from repro.adversary import AdversaryPlan
 from repro.core.mechanisms import CreditLimitedBarter
-from repro.randomized.bittorrent import BitTorrentEngine
 from repro.randomized.engine import RandomizedEngine
 
 from ..sim.capture_golden import result_fingerprint
@@ -62,8 +60,8 @@ def test_null_plan_is_free_on_the_array_backend_too(name: str) -> None:
 class TestSelfishShim:
     def test_selfish_golden_fixture_replays_through_a_plan(self):
         # The stored randomized-selfish-barter fixture was captured from
-        # ``selfish={3}``; the explicit free-rider plan must reproduce it
-        # byte for byte (the plan draws zero RNG).
+        # the former ``selfish={3}`` flag; the explicit free-rider plan
+        # must reproduce it byte for byte (the plan draws zero RNG).
         r = RandomizedEngine(
             12, 6,
             mechanism=CreditLimitedBarter(1),
@@ -73,32 +71,3 @@ class TestSelfishShim:
         _compare(
             result_fingerprint(r), _load("randomized-selfish-barter")
         )
-
-    def test_bittorrent_selfish_lowers_onto_a_plan(self):
-        legacy = BitTorrentEngine(10, 6, rng=9, selfish={3, 5}).run()
-        explicit = BitTorrentEngine(
-            10, 6, rng=9, adversary=AdversaryPlan(free_riders=(3, 5))
-        ).run()
-        assert result_fingerprint(legacy) == result_fingerprint(explicit)
-        # The shim reports through both surfaces during the deprecation
-        # window: the historical meta key and the plan's.
-        assert legacy.meta["selfish"] == [3, 5]
-        assert legacy.meta["adversary"] == {"free_riders": [3, 5]}
-
-    def test_bittorrent_selfish_merges_into_an_existing_plan(self):
-        merged = BitTorrentEngine(
-            10, 6, rng=9,
-            selfish={3},
-            adversary=AdversaryPlan(free_riders=(5,)),
-        ).run()
-        explicit = BitTorrentEngine(
-            10, 6, rng=9, adversary=AdversaryPlan(free_riders=(3, 5))
-        ).run()
-        assert result_fingerprint(merged) == result_fingerprint(explicit)
-
-    def test_riders_and_selfish_exclusions_are_identical(self):
-        by_flag = RandomizedEngine(12, 6, selfish={2, 4}, rng=7).run()
-        by_plan = RandomizedEngine(
-            12, 6, adversary=AdversaryPlan(free_riders=(2, 4)), rng=7
-        ).run()
-        assert result_fingerprint(by_flag) == result_fingerprint(by_plan)

@@ -80,6 +80,7 @@ class TestPerNodeProgress:
         assert set(curves) == {3, 7}
 
     def test_free_rider_flatlines_under_credit(self):
+        from repro.adversary import AdversaryPlan
         from repro.core.mechanisms import CreditLimitedBarter
         from repro.overlays.random_regular import random_regular_graph
         from repro.randomized.engine import RandomizedEngine
@@ -92,7 +93,7 @@ class TestPerNodeProgress:
             overlay=g,
             mechanism=CreditLimitedBarter(1),
             rng=1,
-            selfish={1},
+            adversary=AdversaryPlan(free_riders=(1,)),
             max_ticks=1500,
         ).run()
         curves = per_node_progress(r, nodes=[1])

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.extensions import (
     extension_asynchrony,
     extension_bittorrent,
+    extension_coding,
     extension_embedding,
     extension_freerider,
+    extension_incentives,
     extension_multiserver,
+    extension_triangular,
 )
+from repro.experiments.scale import resolve_scale
 
 pytestmark = pytest.mark.slow
 
@@ -117,3 +123,42 @@ class TestEmbeddingExperiment:
             assert 0 <= row["saved"] < 1
         uniform_saved = [r["saved"] for r in result.rows if r["topology"] == "uniform"]
         assert max(uniform_saved) > 0.15
+
+
+class TestRowShapes:
+    """Every mode of the remaining extensions reports a row. Triangular
+    and incentives run a shrunken Figure 6-7 grid; their engines have
+    their own suites (tests/randomized, tests/incentives)."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return dataclasses.replace(
+            resolve_scale("ci"),
+            name="tiny",
+            replicates=1,
+            fig67_n=24,
+            fig67_k=12,
+            fig67_degrees=(4, 8),
+            fig67_max_ticks=400,
+        )
+
+    def test_coding_reports_both_fields(self):
+        result = extension_coding(scale="ci")
+        modes = {row["mode"] for row in result.rows}
+        assert "coding GF(2)" in modes and "coding ideal" in modes
+
+    def test_triangular_reports_every_mode(self, tiny):
+        result = extension_triangular(scale=tiny)
+        assert {row["mode"] for row in result.rows} == {
+            "exchange + credit",
+            "cycles + credit",
+            "one-way credit (fig 6)",
+        }
+
+    def test_incentives_reports_every_mechanism(self, tiny):
+        result = extension_incentives(scale=tiny)
+        assert {row["mechanism"] for row in result.rows} == {
+            "cooperative",
+            "credit-limited s=1",
+            "bittorrent",
+        }

@@ -86,6 +86,7 @@ class TestCompletionFit:
 class TestFigure5:
     def test_degree_effect_and_convergence(self):
         result = figure5(scale="ci")
+        assert result.series
         for k_label in {row["k"] for row in result.rows}:
             numeric = [
                 row

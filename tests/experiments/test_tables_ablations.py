@@ -68,6 +68,7 @@ class TestPriceTable:
 class TestAblations:
     def test_riffle_stride(self):
         result = ablation_riffle_stride(scale="ci")
+        assert result.rows
         for row in result.rows:
             n = row["n"]
             if row["download d"] >= 2:

@@ -404,27 +404,27 @@ class TestFaultPlanHonesty:
 
 
 class TestFaultRunHelper:
-    """`repro.faults.fault_run` — one plan, any registry engine."""
+    """`run_engine(..., faults=plan)` — one plan, any registry engine."""
 
     def test_runs_named_engine_under_plan(self):
-        from repro.faults import fault_run
+        from repro.sim.registry import run_engine
 
-        r = fault_run("randomized", 16, 8, FaultPlan(loss_rate=0.1), rng=6)
+        r = run_engine("randomized", 16, 8, faults=FaultPlan(loss_rate=0.1), rng=6)
         assert r.completed
         assert r.log.failed_count > 0
         verify_log(r.log, 16, 8)
 
     def test_matches_direct_construction(self):
-        from repro.faults import fault_run
+        from repro.sim.registry import run_engine
 
         plan = FaultPlan(loss_rate=0.1)
         direct = randomized_cooperative_run(16, 8, rng=6, faults=plan)
-        named = fault_run("randomized", 16, 8, plan, rng=6)
+        named = run_engine("randomized", 16, 8, faults=plan, rng=6)
         assert list(direct.log) == list(named.log)
         assert direct.completion_time == named.completion_time
 
     def test_propagates_config_errors(self):
-        from repro.faults import fault_run
+        from repro.sim.registry import run_engine
 
         with pytest.raises(ConfigError):
-            fault_run("no-such-engine", 12, 6, FaultPlan(crash_rate=0.1), rng=1)
+            run_engine("no-such-engine", 12, 6, faults=FaultPlan(crash_rate=0.1), rng=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary import AdversaryPlan
 from repro.core.errors import ConfigError
 from repro.core.verify import verify_log
 from repro.overlays.random_regular import random_regular_graph
@@ -34,7 +35,7 @@ class TestBitTorrentBasics:
         with pytest.raises(ConfigError):
             BitTorrentEngine(16, 8, rechoke_period=0)
         with pytest.raises(ConfigError):
-            BitTorrentEngine(16, 8, selfish={0})
+            BitTorrentEngine(16, 8, adversary=AdversaryPlan(free_riders=(0,)))
         with pytest.raises(ConfigError):
             BitTorrentEngine(16, 8, overlay=random_regular_graph(20, 4, rng=0))
 
@@ -91,7 +92,9 @@ class TestBitTorrentFreeRiders:
         # that never upload.
         n, k = 64, 32
         g = random_regular_graph(n, 16, rng=4)
-        r = bittorrent_run(n, k, overlay=g, rng=5, selfish={1, 2, 3})
+        r = bittorrent_run(
+            n, k, overlay=g, rng=5, adversary=AdversaryPlan(free_riders=(1, 2, 3))
+        )
         assert r.completed
         holdings = r.meta["final_holdings"]
         assert all(holdings[v] == k for v in (1, 2, 3))
@@ -99,7 +102,9 @@ class TestBitTorrentFreeRiders:
     def test_free_riders_slower_than_compliant(self):
         n, k = 64, 32
         g = random_regular_graph(n, 16, rng=6)
-        r = bittorrent_run(n, k, overlay=g, rng=7, selfish={1})
+        r = bittorrent_run(
+            n, k, overlay=g, rng=7, adversary=AdversaryPlan(free_riders=(1,))
+        )
         assert r.completed
         compliant = [
             tick for c, tick in r.client_completions.items() if c != 1

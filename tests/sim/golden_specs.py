@@ -31,6 +31,9 @@ behavioral diff; pass spec names to recapture a subset)::
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.adversary import AdversaryPlan
 from repro.core.mechanisms import CreditLimitedBarter
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.overlays.random_regular import random_regular_graph
@@ -74,11 +77,14 @@ def _randomized_overlay_throttle(**kw):
     )
 
 
-def _randomized_selfish_barter(**kw):
+def _randomized_selfish_barter(adversary=None, **kw):
     # Free-riders under a tight credit limit: exercises the starve /
-    # deadlock verdict path.
+    # deadlock verdict path. Captured from the engine's former
+    # ``selfish={3}`` flag; an explicit-rider plan draws no RNG, so it
+    # replays the fixture. A caller's (null) plan gains the rider.
+    plan = dataclasses.replace(adversary or AdversaryPlan(), free_riders=(3,))
     return RandomizedEngine(
-        12, 6, mechanism=CreditLimitedBarter(1), selfish={3}, rng=3, **kw
+        12, 6, mechanism=CreditLimitedBarter(1), adversary=plan, rng=3, **kw
     )
 
 

@@ -24,13 +24,30 @@ Log verification is tiered by what an engine's log *means*:
 
 from __future__ import annotations
 
+import copy
+import inspect
+import random
+from functools import partial
+
 import pytest
 
+from repro.adversary import AdversaryPlan
+from repro.coding.engine import network_coding_run
+from repro.core.bandwidth import BandwidthClasses
 from repro.core.errors import ConfigError
 from repro.core.log import RunResult
+from repro.core.model import BandwidthModel
 from repro.core.verify import verify_log
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RecoveryPolicy
+from repro.randomized.barter import randomized_barter_run
+from repro.randomized.bittorrent import bittorrent_run
+from repro.randomized.churn import churn_run
+from repro.randomized.cooperative import randomized_cooperative_run
+from repro.randomized.exchange import randomized_exchange_run
 from repro.sim import ENGINES, create_engine, engine_names, run_engine
+from repro.sim.kernel import TickKernel
+from repro.telemetry import TelemetrySpec
+from repro.workloads import WorkloadSpec
 
 from .capture_golden import result_fingerprint
 
@@ -55,6 +72,47 @@ SEED = 2024
 def _case(name: str) -> tuple[int, int, dict]:
     kwargs = dict(CASES[name])
     return kwargs.pop("n"), kwargs.pop("k"), kwargs
+
+
+def _engine_runner(name: str):
+    n, k, kwargs = _case(name)
+    return partial(run_engine, name, n, k, **kwargs)
+
+
+#: Every entry point that builds a kernel run, bound to a small case:
+#: the registry engines and the ``*_run`` helpers.
+RUNNERS = {
+    **{name: _engine_runner(name) for name in ENGINES},
+    "randomized_cooperative_run": partial(randomized_cooperative_run, 16, 6),
+    "randomized_barter_run": partial(randomized_barter_run, 16, 6, 2),
+    "randomized_exchange_run": partial(randomized_exchange_run, 16, 6),
+    "churn_run": partial(churn_run, 16, 6, {3: 2}, {5: 8}),
+    "bittorrent_run": partial(bittorrent_run, 16, 6),
+    "network_coding_run": partial(network_coding_run, 12, 5),
+}
+
+#: The kernel's run options: its keyword-only parameters, less the
+#: ``credit`` ledger that ``RandomizedEngine`` derives from its mechanism.
+KERNEL_OPTIONS = sorted(
+    name
+    for name, param in inspect.signature(TickKernel.__init__).parameters.items()
+    if param.kind is param.KEYWORD_ONLY and name != "credit"
+)
+
+#: A value per kernel option that must leave a run's fingerprint as it is.
+NULL_OPTIONS = {
+    "model": BandwidthModel.symmetric(),
+    "rng": random.Random(SEED),
+    "max_ticks": None,
+    "keep_log": True,
+    "faults": FaultPlan(),
+    "recovery": RecoveryPolicy(),
+    "backend": "loop",
+    "workload": WorkloadSpec(),
+    "adversary": AdversaryPlan(),
+    "bandwidth": BandwidthClasses(),
+    "telemetry": TelemetrySpec(),
+}
 
 
 def test_every_engine_has_a_case() -> None:
@@ -153,3 +211,35 @@ def test_crash_plan_honored_or_rejected(name: str) -> None:
     plan = FaultPlan(crash_rate=0.01, rejoin_delay=3, rejoin_retention=0.5)
     result = run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
     assert isinstance(result, RunResult)
+
+
+def test_every_kernel_option_has_a_null_value() -> None:
+    assert sorted(NULL_OPTIONS) == KERNEL_OPTIONS
+
+
+@pytest.mark.parametrize("option", KERNEL_OPTIONS)
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_kernel_option_reaches_every_entry_point(runner: str, option: str) -> None:
+    """Each entry point forwards each kernel option to the kernel: a null
+    value is accepted and changes nothing."""
+    run = RUNNERS[runner]
+    plain = run(rng=SEED)
+    # A fresh copy per run: a Random is consumed by the run it seeds.
+    armed = run(**{"rng": SEED, option: copy.deepcopy(NULL_OPTIONS[option])})
+    assert result_fingerprint(armed) == result_fingerprint(plain)
+    if option == "telemetry":
+        # The one option whose null value leaves a mark: proof it arrived.
+        assert "telemetry" in armed.meta
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_misspelt_option_raises_type_error(runner: str) -> None:
+    with pytest.raises(TypeError):
+        RUNNERS[runner](rng=SEED, fautls=FaultPlan(loss_rate=0.1))
+
+
+def test_async_refuses_a_bandwidth_model() -> None:
+    # Its rates are the async engine's capacity, so a model that would
+    # change capacity is refused rather than silently ignored.
+    with pytest.raises(ConfigError, match="BandwidthModel"):
+        create_engine("async", 12, 5, model=BandwidthModel(download=2))
