@@ -127,7 +127,9 @@ def _build_kernel(
         validate_rates(download_rates, n, "download"),
         parallel_downloads,
     )
-    kernel = TickKernel(n, k, policy, **options)
+    # The async engine is cooperative: a ``credit=`` keyword collides
+    # with this one and raises TypeError.
+    kernel = TickKernel(n, k, policy, credit=None, **options)
     if kernel.bandwidth is not None:
         # Map the realized tier model onto the continuous-time rates: a
         # tier upload of u is u blocks per unit time, and an unbounded

@@ -325,7 +325,9 @@ class NetworkCodingEngine:
         if graph.n != n:
             raise ConfigError(f"overlay has {graph.n} nodes, swarm has {n}")
         self.tick_policy = CodingTickPolicy(k, n, graph, field)
-        self.kernel = TickKernel(n, k, self.tick_policy, **options)
+        # Coding is cooperative: a ``credit=`` keyword collides with this
+        # one and raises TypeError.
+        self.kernel = TickKernel(n, k, self.tick_policy, credit=None, **options)
 
     @property
     def bases(self) -> list[Gf2Basis]:

@@ -346,7 +346,9 @@ class BitTorrentEngine:
             per_node_unchoke=per_node_unchoke,
             tier_weighted_unchoke=tier_weighted_unchoke,
         )
-        self.kernel = TickKernel(n, k, self.tick_policy, **options)
+        # Tit-for-tat keeps no credit ledger: a ``credit=`` keyword
+        # collides with this one and raises TypeError.
+        self.kernel = TickKernel(n, k, self.tick_policy, credit=None, **options)
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         return self.kernel.run(progress)

@@ -318,7 +318,9 @@ class ExchangeEngine:
                 f"overlay has {graph.n} nodes but the swarm has {n}"
             )
         self.tick_policy = ExchangeTickPolicy(self.policy, graph)
-        self.kernel = TickKernel(n, k, self.tick_policy, **options)
+        # Strict barter keeps no credit ledger: a ``credit=`` keyword
+        # collides with this one and raises TypeError.
+        self.kernel = TickKernel(n, k, self.tick_policy, credit=None, **options)
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         return self.kernel.run(progress)

@@ -328,6 +328,9 @@ class TickKernel:
         Optional :class:`~repro.core.mechanisms.CreditLimitedBarter`
         whose ledger the kernel charges per attempt (buffered within a
         tick: simultaneous transfers are judged at tick-start balances).
+        Not a run option: ``RandomizedEngine`` sets it from its
+        mechanism, every other engine passes ``None``, so a ``credit=``
+        keyword to a facade raises ``TypeError``.
     backend:
         ``"loop"``/``None`` (default) for the scalar per-attempt path, or
         ``"array"`` for the :mod:`repro.sim.array` backend — ownership
@@ -460,10 +463,13 @@ class TickKernel:
                     f"(or pass an ArrayState)"
                 )
             if not policy.supports_array:
+                from .registry import ENGINES
+
+                capable = (s.name for s in ENGINES.values() if s.array_backend)
                 raise ConfigError(
                     f"the {policy.name} engine does not support the array "
-                    f"backend; use backend='loop' or pick an array-capable "
-                    f"engine"
+                    f"backend; use backend='loop' or one of: "
+                    f"{', '.join(capable)}"
                 )
             self.array = ArrayBackend(self, arr_state)
         if not keep_log:

@@ -29,7 +29,8 @@ byte-identical to the default loop. The ambient default is ``"loop"``;
 swarm-wide, in which case array-capable engines pick the array backend up
 *softly* — engines without array support keep the loop. Passing
 ``backend=`` explicitly always wins, and an *explicit* ``"array"`` on an
-unsupporting engine raises ``ConfigError`` naming the engine.
+unsupporting engine makes the kernel raise ``ConfigError`` naming the
+engine and the ones that do support it.
 
 Engine modules are imported lazily, on first use of an entry: the
 registry is imported by :mod:`repro.sim`, which the engines themselves
@@ -194,27 +195,21 @@ def create_engine(name: str, n: int, k: int, **kwargs: Any) -> Any:
     """Build the named engine (unstarted); raises ``ConfigError`` for an
     unknown name or options the engine rejects.
 
-    ``backend=`` is resolved here: ``None`` means the ambient default
-    (which only array-capable engines follow); an explicit value is
-    checked against ``EngineSpec.array_backend`` so the error names the
-    engine and lists the ones that do support it.
+    A missing ``backend=`` means the ambient default, which only
+    array-capable engines follow; an explicit one goes to the kernel
+    unchanged.
     """
     spec = ENGINES.get(name)
     if spec is None:
         raise ConfigError(
             f"unknown engine {name!r}; registered: {', '.join(ENGINES)}"
         )
-    backend = kwargs.pop("backend", None)
-    if backend is None and _DEFAULT_BACKEND != "loop" and spec.array_backend:
-        backend = _DEFAULT_BACKEND
-    if backend is not None and backend != "loop":
-        if not spec.array_backend:
-            capable = ", ".join(s.name for s in ENGINES.values() if s.array_backend)
-            raise ConfigError(
-                f"the {name} engine does not support the array backend; "
-                f"use backend='loop' or one of: {capable}"
-            )
-        kwargs["backend"] = backend
+    if (
+        kwargs.get("backend") is None
+        and _DEFAULT_BACKEND != "loop"
+        and spec.array_backend
+    ):
+        kwargs["backend"] = _DEFAULT_BACKEND
     return spec.factory(n, k, **kwargs)
 
 

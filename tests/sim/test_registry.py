@@ -36,6 +36,7 @@ from repro.coding.engine import network_coding_run
 from repro.core.bandwidth import BandwidthClasses
 from repro.core.errors import ConfigError
 from repro.core.log import RunResult
+from repro.core.mechanisms import CreditLimitedBarter
 from repro.core.model import BandwidthModel
 from repro.core.verify import verify_log
 from repro.faults import FaultPlan, RecoveryPolicy
@@ -236,6 +237,14 @@ def test_kernel_option_reaches_every_entry_point(runner: str, option: str) -> No
 def test_misspelt_option_raises_type_error(runner: str) -> None:
     with pytest.raises(TypeError):
         RUNNERS[runner](rng=SEED, fautls=FaultPlan(loss_rate=0.1))
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_credit_ledger_is_not_a_run_option(runner: str) -> None:
+    # Only a mechanism restricts transfers; a bare ledger would be charged
+    # without restricting anything, so no entry point takes one.
+    with pytest.raises(TypeError, match="credit"):
+        RUNNERS[runner](rng=SEED, credit=CreditLimitedBarter(1))
 
 
 def test_async_refuses_a_bandwidth_model() -> None:
