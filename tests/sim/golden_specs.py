@@ -16,6 +16,12 @@ The ``*-crash`` and ``async-*`` fixtures were pinned later, when the
 bittorrent, coding and async engines graduated to full crash/rejoin
 support (those fixtures also pin the crash/rejoin event streams).
 
+The ``triangular-*`` fixtures were captured from
+:func:`~repro.randomized.triangular.randomized_triangular_run` while it
+still ran its own tick loop beside the kernel: the complete graph,
+exchange-only matching on a degree-10 overlay, and a sparse degree-4
+overlay that ends in the ``"stall"`` verdict.
+
 ``GOLDEN_ENGINE_FACTORIES`` exposes the same pinned configurations as
 *unstarted* engines — construction separated from ``.run()`` — which is
 what the checkpoint/resume sweep (``test_checkpoint_resume.py``) needs:
@@ -42,6 +48,7 @@ from repro.randomized.churn import ChurnEngine
 from repro.randomized.engine import RandomizedEngine
 from repro.randomized.exchange import ExchangeEngine
 from repro.randomized.policies import RarestFirstPolicy
+from repro.randomized.triangular import randomized_triangular_run
 
 __all__ = ["ARRAY_CAPABLE_SPECS", "GOLDEN_ENGINE_FACTORIES", "GOLDEN_SPECS"]
 
@@ -159,6 +166,22 @@ def _async_crash(**kw):
     )
 
 
+def _triangular(**kw):
+    return randomized_triangular_run(16, 8, rng=31, **kw)
+
+
+def _triangular_exchange_overlay(**kw):
+    graph = random_regular_graph(24, 10, rng=0)
+    return randomized_triangular_run(
+        24, 12, overlay=graph, rng=40, allow_triangles=False, **kw
+    )
+
+
+def _triangular_sparse_stall(**kw):
+    graph = random_regular_graph(24, 4, rng=0)
+    return randomized_triangular_run(24, 12, overlay=graph, rng=50, **kw)
+
+
 # Fixtures whose engines accept ``backend="array"`` (the randomized,
 # churn and exchange families); ``test_array_golden.py`` replays exactly
 # these against the same pinned JSON.
@@ -207,3 +230,10 @@ def _runner(factory):
 GOLDEN_SPECS = {
     name: _runner(factory) for name, factory in GOLDEN_ENGINE_FACTORIES.items()
 }
+GOLDEN_SPECS.update(
+    {
+        "triangular": _triangular,
+        "triangular-exchange-overlay": _triangular_exchange_overlay,
+        "triangular-sparse-stall": _triangular_sparse_stall,
+    }
+)
