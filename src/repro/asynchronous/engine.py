@@ -20,12 +20,13 @@ The event loop itself lives in
 shared :class:`~repro.sim.kernel.TickKernel` (one tick = one unit-time
 window). Two front ends wrap it:
 
-* :class:`AsyncEngine` — the continuous-time API
-  (:class:`AsyncRunResult` with float times), used by the asynchrony
-  extension experiment and the strategy tests;
 * :class:`AsyncKernelRun` — the registry adapter surface (the kernel's
   run options and a progress callback) returning the uniform
-  :class:`~repro.core.log.RunResult`.
+  :class:`~repro.core.log.RunResult`;
+* :class:`AsyncEngine` — the continuous-time API
+  (:class:`AsyncRunResult` with float times), built through
+  :class:`AsyncKernelRun` with a time horizon in place of ``max_ticks``,
+  used by the asynchrony extension experiment and the strategy tests.
 
 Both carry the full fault model, including node crash/rejoin. With
 all rates equal to 1 this reduces to
@@ -35,7 +36,6 @@ cross-checks completion times against the tick engines.
 
 from __future__ import annotations
 
-import random
 from math import ceil
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -44,7 +44,6 @@ from typing import Callable, Protocol
 from ..core.errors import ConfigError
 from ..core.log import RunResult
 from ..core.model import BandwidthModel
-from ..faults.plan import FaultPlan
 from ..overlays.graph import Graph
 from ..sim.kernel import TickKernel
 from .policy import AsyncTickPolicy, AsyncTransfer, validate_rates
@@ -91,83 +90,21 @@ class AsyncRunResult:
         return self.completion_time is not None
 
 
-def _build_kernel(
-    n: int,
-    k: int,
-    strategy,
-    *,
-    upload_rates: Sequence[float] | None,
-    download_rates: Sequence[float] | None,
-    parallel_downloads: int,
-    **options,
-) -> tuple[AsyncTickPolicy, TickKernel]:
-    if n < 2:
-        raise ConfigError(f"need a server and at least one client, got n={n}")
-    if k < 1:
-        raise ConfigError(f"file must have at least one block, got k={k}")
-    bandwidth = options.get("bandwidth")
-    if (
-        bandwidth is not None
-        and not bandwidth.is_null
-        and (upload_rates is not None or download_rates is not None)
-    ):
-        raise ConfigError(
-            "bandwidth classes and explicit upload_rates/download_rates are "
-            "two spellings of per-node capacity; pass one or the other"
-        )
-    model = options.get("model")
-    if model is not None and model != BandwidthModel.symmetric():
-        raise ConfigError(
-            "the async engine takes per-node capacity from upload_rates/"
-            "download_rates or bandwidth classes, not a BandwidthModel"
-        )
-    policy = AsyncTickPolicy(
-        strategy,
-        validate_rates(upload_rates, n, "upload"),
-        validate_rates(download_rates, n, "download"),
-        parallel_downloads,
-    )
-    # The async engine is cooperative: a ``credit=`` keyword collides
-    # with this one and raises TypeError.
-    kernel = TickKernel(n, k, policy, credit=None, **options)
-    if kernel.bandwidth is not None:
-        # Map the realized tier model onto the continuous-time rates: a
-        # tier upload of u is u blocks per unit time, and an unbounded
-        # download tier never bottlenecks a transfer.
-        model = kernel.model
-        policy.up = [float(model.upload_capacity(v)) for v in range(n)]
-        policy.down = [
-            float("inf") if model.download_capacity(v) is None
-            else float(model.download_capacity(v))
-            for v in range(n)
-        ]
-    return policy, kernel
-
-
 class AsyncEngine:
     """Continuous-time swarm simulation; see module docstring.
 
-    Parameters
-    ----------
-    n, k:
-        Swarm size (server included) and number of blocks.
-    strategy:
-        An :class:`AsyncStrategy`; decides each node's next upload.
-    upload_rates, download_rates:
-        Per-node rates in blocks per time unit (length ``n``); default 1.0
-        everywhere. Download rate also admits ``parallel_downloads`` slots.
-    parallel_downloads:
-        Number of simultaneous incoming transfers a node accepts.
-    rng:
-        Seed or Random for strategy use and tie-breaking.
-    max_time:
-        Simulation horizon; an unfinished run returns
-        ``completion_time=None``.
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan` — every axis,
-        including node crash/rejoin, is carried (loss and link outages
-        are judged at the tick of the window a transfer ends in; a
-        server outage window benches the server at transfer start).
+    Built through :class:`AsyncKernelRun`, which documents ``strategy``
+    (required here), the per-node rates and ``parallel_downloads``. ``max_time`` is the
+    simulation horizon (default ``50 * (k + n)``); an unfinished run
+    returns ``completion_time=None``, and the kernel's ``max_ticks`` is
+    derived from it. Every other keyword is a kernel run option (see
+    :class:`~repro.sim.kernel.TickKernel`): ``rng``, ``faults`` (every
+    axis, including node crash/rejoin; loss and link outages are judged
+    at the tick of the window a transfer ends in, and a server outage
+    window benches the server at transfer start), workloads, adversaries,
+    bandwidth classes and telemetry. ``keep_log`` defaults to False:
+    float transfer times are the result surface here, so the kernel's
+    tick-quantised log is redundant.
     """
 
     def __init__(
@@ -178,28 +115,25 @@ class AsyncEngine:
         upload_rates: Sequence[float] | None = None,
         download_rates: Sequence[float] | None = None,
         parallel_downloads: int = 1,
-        rng: random.Random | int | None = None,
+        *,
         max_time: float | None = None,
-        faults: FaultPlan | None = None,
+        **options,
     ) -> None:
         self.n, self.k = n, k
         self.strategy = strategy
         self.max_time = max_time if max_time is not None else 50.0 * (k + n)
-        # Float transfer times are the result surface here, so the
-        # kernel's tick-quantised log is redundant — keep_log=False keeps
-        # the memory profile of the pre-kernel event loop.
-        self.policy, self.kernel = _build_kernel(
+        options.setdefault("keep_log", False)
+        run = AsyncKernelRun(
             n,
             k,
-            strategy,
+            strategy=strategy,
             upload_rates=upload_rates,
             download_rates=download_rates,
             parallel_downloads=parallel_downloads,
-            rng=rng,
             max_ticks=max(1, int(ceil(self.max_time - 1e-9))),
-            keep_log=False,
-            faults=faults,
+            **options,
         )
+        self.policy, self.kernel = run.policy, run.kernel
         self.up = self.policy.up
         self.down = self.policy.down
 
@@ -251,12 +185,15 @@ class AsyncEngine:
 class AsyncKernelRun:
     """Registry surface for the asynchronous engine; see module docstring.
 
-    ``strategy`` defaults to
+    ``strategy`` (an :class:`AsyncStrategy`, deciding each node's next
+    upload) defaults to
     :class:`~repro.asynchronous.strategies.AsyncRandom` (the asynchronous
     analogue of the randomized cooperative algorithm), restricted to
-    ``overlay`` when one is given; the per-node rates are
-    :class:`AsyncEngine`'s. Every other keyword is a kernel run option
-    (see :class:`~repro.sim.kernel.TickKernel`); ``max_ticks`` bounds
+    ``overlay`` when one is given. ``upload_rates``/``download_rates``
+    are per-node rates in blocks per time unit (length ``n``, default 1.0
+    everywhere), and a node accepts ``parallel_downloads`` simultaneous
+    incoming transfers. Every other keyword is a kernel run option (see
+    :class:`~repro.sim.kernel.TickKernel`); ``max_ticks`` bounds
     simulated time (one tick = one unit-time window) and defaults to
     ``50 * (k + n)``. Per-node capacity comes from the rates or from
     ``bandwidth`` classes, never from a ``model``.
@@ -276,18 +213,49 @@ class AsyncKernelRun:
     ) -> None:
         from .strategies import AsyncRandom
 
+        if n < 2:
+            raise ConfigError(f"need a server and at least one client, got n={n}")
+        if k < 1:
+            raise ConfigError(f"file must have at least one block, got k={k}")
+        bandwidth = options.get("bandwidth")
+        if (
+            bandwidth is not None
+            and not bandwidth.is_null
+            and (upload_rates is not None or download_rates is not None)
+        ):
+            raise ConfigError(
+                "bandwidth classes and explicit upload_rates/download_rates "
+                "are two spellings of per-node capacity; pass one or the other"
+            )
+        model = options.get("model")
+        if model is not None and model != BandwidthModel.symmetric():
+            raise ConfigError(
+                "the async engine takes per-node capacity from upload_rates/"
+                "download_rates or bandwidth classes, not a BandwidthModel"
+            )
         if options.get("max_ticks") is None:
             options["max_ticks"] = 50 * (k + n)
         self.n, self.k = n, k
-        self.policy, self.kernel = _build_kernel(
-            n,
-            k,
+        self.policy = policy = AsyncTickPolicy(
             strategy if strategy is not None else AsyncRandom(overlay),
-            upload_rates=upload_rates,
-            download_rates=download_rates,
-            parallel_downloads=parallel_downloads,
-            **options,
+            validate_rates(upload_rates, n, "upload"),
+            validate_rates(download_rates, n, "download"),
+            parallel_downloads,
         )
+        # The async engine is cooperative: a ``credit=`` keyword collides
+        # with this one and raises TypeError.
+        self.kernel = kernel = TickKernel(n, k, policy, credit=None, **options)
+        if kernel.bandwidth is not None:
+            # Map the realized tier model onto the continuous-time rates:
+            # a tier upload of u is u blocks per unit time, and an
+            # unbounded download tier never bottlenecks a transfer.
+            model = kernel.model
+            policy.up = [float(model.upload_capacity(v)) for v in range(n)]
+            policy.down = [
+                float("inf") if model.download_capacity(v) is None
+                else float(model.download_capacity(v))
+                for v in range(n)
+            ]
 
     def run(self, progress: Callable[[int, int], None] | None = None) -> RunResult:
         return self.kernel.run(progress)

@@ -415,6 +415,7 @@ def extension_triangular(
             overlay=graph,
             rng=seed + 1,
             max_ticks=s.fig67_max_ticks,
+            keep_log=False,
             allow_triangles=(name == "cycles + credit"),
         )
 

@@ -135,15 +135,15 @@ class ExchangeTickPolicy(TickPolicy):
         tick = kernel.tick
 
         # Server seeding: one free block per tick to a random client that
-        # is interested in the server's content (i.e. incomplete).
+        # is interested in the server's content. The server holds every
+        # block, so that is any incomplete client.
         seeded = None
         if kernel.server_available():
+            full = self._full
             candidates = [
                 v
                 for v in graph.neighbors(SERVER)
-                if v != SERVER
-                and v not in absent
-                and snapshot[SERVER] & ~masks[v]
+                if v != SERVER and v not in absent and masks[v] != full
             ]
             if candidates:
                 seeded = candidates[rng.randrange(len(candidates))]

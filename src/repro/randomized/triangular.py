@@ -31,26 +31,145 @@ from __future__ import annotations
 import random
 
 from ..core.ledger import CreditLedger
-from ..core.log import RunResult, TransferLog
-from ..core.model import SERVER, BandwidthModel
+from ..core.log import RunResult
+from ..core.model import SERVER
 from ..core.state import SwarmState
 from ..overlays.graph import CompleteGraph, Graph
-from .engine import default_max_ticks
+from ..sim.kernel import TickKernel
+from ..sim.policy import TickPolicy
 from .policies import BlockPolicy, RandomPolicy
 
-__all__ = ["randomized_triangular_run"]
+__all__ = ["TriangularTickPolicy", "randomized_triangular_run"]
 
 _PARTNER_TRIES = 8
+#: Quiet ticks in a row before the run gives up as a stall.
+_STALL_TICKS = 8
 
 
-class _View:
-    """Engine view handed to block policies."""
+class TriangularTickPolicy(TickPolicy):
+    """Per-tick random matching into useful 2-/3-cycles and credit gifts.
 
-    def __init__(self, state: SwarmState, graph: Graph, rng: random.Random) -> None:
-        self.state = state
+    Per tick: the server seeds one random incomplete neighbor; clients
+    holding data are scanned in random order, each unmatched one taking
+    a sampled cycle through itself (:func:`_find_cycle`) or, failing
+    that, a one-way gift within ``credit_limit`` (:func:`_find_gift`).
+    A client takes part in at most one cycle or gift per tick (plus the
+    seed when it has a second download unit), so download capacity is
+    structural and the kernel's ledger is switched off. Gifts are
+    charged to the policy's own :class:`~repro.core.ledger.CreditLedger`
+    at tick end; cycles cancel and charge nothing.
+    """
+
+    name = "randomized-triangular"
+    uses_download_ledger = False
+
+    def __init__(
+        self,
+        graph: Graph,
+        block_policy: BlockPolicy,
+        allow_triangles: bool = True,
+        credit_limit: int = 1,
+    ) -> None:
         self.graph = graph
-        self.rng = rng
-        self.tick = 0
+        self.block_policy = block_policy
+        self.allow_triangles = allow_triangles
+        self.credit_limit = credit_limit
+        self.ledger = CreditLedger()
+        self._stalled = 0
+
+    def bind(self, kernel: TickKernel) -> None:
+        super().bind(kernel)
+        kernel.graph = self.graph
+        self._full = (1 << kernel.k) - 1
+
+    def run_tick(self, snapshot: list[int]) -> None:
+        kernel = self.kernel
+        state = kernel.state
+        masks = state.masks
+        rng = kernel.rng
+        graph = self.graph
+        policy = self.block_policy
+        attempt = kernel.attempt
+        # Absent clients (crashed, napping, not yet arrived) hold nothing
+        # and may receive nothing: starting them busy keeps them out of
+        # every cycle and gift.
+        busy = set(kernel.absent)
+
+        # Server seeding (free, one block per tick). The server holds
+        # every block, so every incomplete client is interested.
+        if kernel.server_available():
+            full = self._full
+            candidates = [
+                v for v in graph.neighbors(SERVER) if v not in busy and masks[v] != full
+            ]
+            if candidates:
+                seeded = candidates[rng.randrange(len(candidates))]
+                block = policy.choose(
+                    snapshot[SERVER] & ~masks[seeded], kernel, SERVER, seeded
+                )
+                attempt(SERVER, seeded, block)
+                model = kernel.model
+                if not (model.unbounded_download or (model.download or 1) >= 2):
+                    busy.add(seeded)
+
+        order = [v for v in range(1, kernel.n) if snapshot[v]]
+        rng.shuffle(order)
+        gifts: list[tuple[int, int]] = []
+        for a in order:
+            if a in busy:
+                continue
+            cycle = _find_cycle(
+                a, graph, snapshot, state, busy, rng, self.allow_triangles
+            )
+            if cycle is None:
+                gift = _find_gift(
+                    a, graph, snapshot, state, busy, self.ledger, self.credit_limit, rng
+                )
+                if gift is None:
+                    continue
+                cycle = [gift]
+                gifts.append(gift)
+            for src, dst in cycle:
+                block = policy.choose(snapshot[src] & ~masks[dst], kernel, src, dst)
+                attempt(src, dst, block)
+            busy.update(node for hop in cycle for node in hop)
+        # Cycles cancel; only one-way gifts consume credit (flushed at
+        # tick end — balances are judged at tick start). A lost gift
+        # still spent its credit, as the verifier counts it.
+        for src, dst in gifts:
+            self.ledger.record_send(src, dst)
+
+    def post_tick(self, delivered: int, failed: int) -> str | None:
+        """The matching is sampled, so a few quiet ticks prove nothing;
+        :data:`_STALL_TICKS` of them in a row end the run as a stall. A
+        quiet wait for scheduled workload arrivals or returns is a lull,
+        not a stall, so the count holds off while events are pending."""
+        if delivered or self.kernel.membership_events_pending():
+            self._stalled = 0
+            return None
+        self._stalled += 1
+        return "stall" if self._stalled >= _STALL_TICKS else None
+
+    def zero_tick_conclusive(self) -> bool:
+        """The sampled cycle search is not exhaustive, so a quiet tick is
+        at most a stall, never a *proven* deadlock."""
+        return False
+
+    def result_meta(self) -> dict[str, object]:
+        return {
+            "algorithm": self.name,
+            "policy": self.block_policy.name,
+            "mechanism": "triangular-barter",
+            "allow_triangles": self.allow_triangles,
+            "max_ticks": self.kernel.max_ticks,
+        }
+
+    def capture_state(self) -> dict[str, object]:
+        return {"ledger": self.ledger.capture_state(), "stalled": self._stalled}
+
+    def restore_state(self, state: dict[str, object]) -> None:
+        self.ledger.restore_state(state["ledger"])
+        self._stalled = state["stalled"]
 
 
 def randomized_triangular_run(
@@ -58,115 +177,30 @@ def randomized_triangular_run(
     k: int,
     overlay: Graph | None = None,
     policy: BlockPolicy | None = None,
-    model: BandwidthModel | None = None,
-    rng: random.Random | int | None = None,
-    max_ticks: int | None = None,
+    *,
     allow_triangles: bool = True,
     credit_limit: int = 1,
+    **options,
 ) -> RunResult:
-    """Run randomized cyclic barter until completion or timeout.
+    """Run randomized cyclic barter until completion, stall or timeout.
 
     ``credit_limit`` bounds one-way gifts per ordered pair (judged at
     tick start, as everywhere); ``allow_triangles=False`` restricts the
     matching to 2-cycles — i.e. credit-limited pairwise exchange — so the
-    marginal value of triangles is a one-flag ablation.
+    marginal value of triangles is a one-flag ablation. Every other
+    keyword is a kernel run option (see
+    :class:`~repro.sim.kernel.TickKernel`); the policy carries faults and
+    workloads but refuses adversaries and bandwidth tiers.
     """
-    model = model or BandwidthModel.symmetric()
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-    graph = overlay if overlay is not None else CompleteGraph(n)
-    policy = policy or RandomPolicy()
-    state = SwarmState(n, k)
-    view = _View(state, graph, rng)
-    log = TransferLog()
-    ledger = CreditLedger()
-    limit = max_ticks or default_max_ticks(n, k)
-    seed_can_barter = model.unbounded_download or (model.download or 1) >= 2
-
-    def useful(a: int, b: int) -> int:
-        return snapshot[a] & ~state.masks[b]
-
-    stalled = 0
-    stall_abort = False
-    while not state.all_complete and view.tick < limit:
-        view.tick += 1
-        tick = view.tick
-        snapshot = state.begin_tick()
-        busy: set[int] = set()
-        transfers_this_tick = 0
-
-        # Server seeding (free, one block per tick).
-        candidates = [
-            v
-            for v in graph.neighbors(SERVER)
-            if snapshot[SERVER] & ~state.masks[v]
-        ]
-        seeded = None
-        if candidates:
-            seeded = candidates[rng.randrange(len(candidates))]
-            block = policy.choose(useful(SERVER, seeded), view, SERVER, seeded)
-            state.receive(seeded, block)
-            log.record(tick, SERVER, seeded, block)
-            transfers_this_tick += 1
-            if not seed_can_barter:
-                busy.add(seeded)
-
-        order = [v for v in range(1, n) if snapshot[v]]
-        rng.shuffle(order)
-        gifts: list[tuple[int, int]] = []
-        for a in order:
-            if a in busy:
-                continue
-            cycle = _find_cycle(
-                a, graph, snapshot, state, busy, rng, allow_triangles
-            )
-            if cycle is None:
-                gift = _find_gift(
-                    a, graph, snapshot, state, busy, ledger, credit_limit, rng
-                )
-                if gift is None:
-                    continue
-                cycle = [gift]
-                gifts.append(gift)
-            for src, dst in cycle:
-                block = policy.choose(useful(src, dst), view, src, dst)
-                state.receive(dst, block)
-                log.record(tick, src, dst, block)
-                transfers_this_tick += 1
-            busy.update(node for hop in cycle for node in hop)
-        # Cycles cancel; only one-way gifts consume credit (flushed at
-        # tick end — balances are judged at tick start).
-        for src, dst in gifts:
-            ledger.record_send(src, dst)
-
-        if transfers_this_tick == 0:
-            stalled += 1
-            if stalled >= 8:  # matching is randomized; give it several shots
-                stall_abort = True
-                break
-        else:
-            stalled = 0
-
-    completions = log.completion_ticks(n, k)
-    completed = state.all_complete
-    return RunResult(
-        n=n,
-        k=k,
-        completion_time=view.tick if completed else None,
-        client_completions=completions,
-        log=log,
-        meta={
-            "algorithm": "randomized-triangular",
-            "policy": policy.name,
-            "mechanism": "triangular-barter",
-            "allow_triangles": allow_triangles,
-            "max_ticks": limit,
-            # Uniform run-outcome metadata: the sampled cycle search is
-            # not exhaustive, so a quiet stretch is a stall, never a
-            # *proven* deadlock.
-            "deadlocked": False,
-            "abort": None if completed else ("stall" if stall_abort else "max-ticks"),
-        },
+    tick_policy = TriangularTickPolicy(
+        overlay if overlay is not None else CompleteGraph(n),
+        policy or RandomPolicy(),
+        allow_triangles,
+        credit_limit,
     )
+    # Gifts are charged to the policy's own ledger: a ``credit=``
+    # keyword collides with this one and raises TypeError.
+    return TickKernel(n, k, tick_policy, credit=None, **options).run()
 
 
 def _find_cycle(

@@ -20,7 +20,9 @@ The ``triangular-*`` fixtures were captured from
 :func:`~repro.randomized.triangular.randomized_triangular_run` while it
 still ran its own tick loop beside the kernel: the complete graph,
 exchange-only matching on a degree-10 overlay, and a sparse degree-4
-overlay that ends in the ``"stall"`` verdict.
+overlay that ends in the ``"stall"`` verdict. Their factories build the
+same runs as an unstarted :class:`~repro.sim.kernel.TickKernel` over
+:class:`~repro.randomized.triangular.TriangularTickPolicy`.
 
 ``GOLDEN_ENGINE_FACTORIES`` exposes the same pinned configurations as
 *unstarted* engines — construction separated from ``.run()`` — which is
@@ -42,13 +44,15 @@ import dataclasses
 from repro.adversary import AdversaryPlan
 from repro.core.mechanisms import CreditLimitedBarter
 from repro.faults import FaultPlan, RecoveryPolicy
+from repro.overlays.graph import CompleteGraph
 from repro.overlays.random_regular import random_regular_graph
 from repro.randomized.bittorrent import BitTorrentEngine
 from repro.randomized.churn import ChurnEngine
 from repro.randomized.engine import RandomizedEngine
 from repro.randomized.exchange import ExchangeEngine
-from repro.randomized.policies import RarestFirstPolicy
-from repro.randomized.triangular import randomized_triangular_run
+from repro.randomized.policies import RandomPolicy, RarestFirstPolicy
+from repro.randomized.triangular import TriangularTickPolicy
+from repro.sim.kernel import TickKernel
 
 __all__ = ["ARRAY_CAPABLE_SPECS", "GOLDEN_ENGINE_FACTORIES", "GOLDEN_SPECS"]
 
@@ -167,19 +171,19 @@ def _async_crash(**kw):
 
 
 def _triangular(**kw):
-    return randomized_triangular_run(16, 8, rng=31, **kw)
+    policy = TriangularTickPolicy(CompleteGraph(16), RandomPolicy())
+    return TickKernel(16, 8, policy, rng=31, **kw)
 
 
 def _triangular_exchange_overlay(**kw):
     graph = random_regular_graph(24, 10, rng=0)
-    return randomized_triangular_run(
-        24, 12, overlay=graph, rng=40, allow_triangles=False, **kw
-    )
+    policy = TriangularTickPolicy(graph, RandomPolicy(), allow_triangles=False)
+    return TickKernel(24, 12, policy, rng=40, **kw)
 
 
 def _triangular_sparse_stall(**kw):
     graph = random_regular_graph(24, 4, rng=0)
-    return randomized_triangular_run(24, 12, overlay=graph, rng=50, **kw)
+    return TickKernel(24, 12, TriangularTickPolicy(graph, RandomPolicy()), rng=50, **kw)
 
 
 # Fixtures whose engines accept ``backend="array"`` (the randomized,
@@ -216,6 +220,9 @@ GOLDEN_ENGINE_FACTORIES = {
     "coding-crash": _coding_crash,
     "async-kernel": _async_kernel,
     "async-crash": _async_crash,
+    "triangular": _triangular,
+    "triangular-exchange-overlay": _triangular_exchange_overlay,
+    "triangular-sparse-stall": _triangular_sparse_stall,
 }
 
 
@@ -230,10 +237,3 @@ def _runner(factory):
 GOLDEN_SPECS = {
     name: _runner(factory) for name, factory in GOLDEN_ENGINE_FACTORIES.items()
 }
-GOLDEN_SPECS.update(
-    {
-        "triangular": _triangular,
-        "triangular-exchange-overlay": _triangular_exchange_overlay,
-        "triangular-sparse-stall": _triangular_sparse_stall,
-    }
-)

@@ -45,6 +45,7 @@ from repro.randomized.bittorrent import bittorrent_run
 from repro.randomized.churn import churn_run
 from repro.randomized.cooperative import randomized_cooperative_run
 from repro.randomized.exchange import randomized_exchange_run
+from repro.randomized.triangular import randomized_triangular_run
 from repro.sim import ENGINES, create_engine, engine_names, run_engine
 from repro.sim.kernel import TickKernel
 from repro.telemetry import TelemetrySpec
@@ -81,7 +82,8 @@ def _engine_runner(name: str):
 
 
 #: Every entry point that builds a kernel run, bound to a small case:
-#: the registry engines and the ``*_run`` helpers.
+#: the registry engines and the ``*_run`` helpers (triangular barter has
+#: a helper but no registry entry).
 RUNNERS = {
     **{name: _engine_runner(name) for name in ENGINES},
     "randomized_cooperative_run": partial(randomized_cooperative_run, 16, 6),
@@ -90,6 +92,7 @@ RUNNERS = {
     "churn_run": partial(churn_run, 16, 6, {3: 2}, {5: 8}),
     "bittorrent_run": partial(bittorrent_run, 16, 6),
     "network_coding_run": partial(network_coding_run, 12, 5),
+    "randomized_triangular_run": partial(randomized_triangular_run, 16, 6),
 }
 
 #: The kernel's run options: its keyword-only parameters, less the
