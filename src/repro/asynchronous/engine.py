@@ -94,10 +94,10 @@ class AsyncEngine:
     """Continuous-time swarm simulation; see module docstring.
 
     Built through :class:`AsyncKernelRun`, which documents ``strategy``
-    (required here), the per-node rates and ``parallel_downloads``. ``max_time`` is the
-    simulation horizon (default ``50 * (k + n)``); an unfinished run
-    returns ``completion_time=None``, and the kernel's ``max_ticks`` is
-    derived from it. Every other keyword is a kernel run option (see
+    (required here), the per-node rates and ``parallel_downloads``.
+    ``max_time`` is the simulation horizon (default ``50 * (k + n)``); an
+    unfinished run returns ``completion_time=None``, and the kernel's
+    ``max_ticks`` is derived from it. Every other keyword is a kernel run option (see
     :class:`~repro.sim.kernel.TickKernel`): ``rng``, ``faults`` (every
     axis, including node crash/rejoin; loss and link outages are judged
     at the tick of the window a transfer ends in, and a server outage

@@ -24,6 +24,10 @@ gets scarce (the Figure 6 wall); a triangle only needs *one-way* interest
 along each edge of a short cycle, which is far more common — so
 triangular matching needs less credit slack than pure exchange at equal
 degree. The ``ext-triangular`` experiment quantifies it.
+
+On the :mod:`repro.sim` kernel the matching is
+:class:`TriangularTickPolicy`; :func:`randomized_triangular_run` is the
+one-call entry point.
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ class TriangularTickPolicy(TickPolicy):
         graph = self.graph
         policy = self.block_policy
         attempt = kernel.attempt
+        ledger = self.ledger
         # Absent clients (crashed, napping, not yet arrived) hold nothing
         # and may receive nothing: starting them busy keeps them out of
         # every cycle and gift.
@@ -100,7 +105,9 @@ class TriangularTickPolicy(TickPolicy):
         if kernel.server_available():
             full = self._full
             candidates = [
-                v for v in graph.neighbors(SERVER) if v not in busy and masks[v] != full
+                v
+                for v in graph.neighbors(SERVER)
+                if v not in busy and masks[v] != full
             ]
             if candidates:
                 seeded = candidates[rng.randrange(len(candidates))]
@@ -123,7 +130,7 @@ class TriangularTickPolicy(TickPolicy):
             )
             if cycle is None:
                 gift = _find_gift(
-                    a, graph, snapshot, state, busy, self.ledger, self.credit_limit, rng
+                    a, graph, snapshot, state, busy, ledger, self.credit_limit, rng
                 )
                 if gift is None:
                     continue
@@ -137,7 +144,7 @@ class TriangularTickPolicy(TickPolicy):
         # tick end — balances are judged at tick start). A lost gift
         # still spent its credit, as the verifier counts it.
         for src, dst in gifts:
-            self.ledger.record_send(src, dst)
+            ledger.record_send(src, dst)
 
     def post_tick(self, delivered: int, failed: int) -> str | None:
         """The matching is sampled, so a few quiet ticks prove nothing;

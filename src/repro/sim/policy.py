@@ -15,7 +15,10 @@ Concrete policies live next to the engines they power:
 * strict-barter pairwise exchange — :mod:`repro.randomized.exchange`;
 * BitTorrent choking — :mod:`repro.randomized.bittorrent`;
 * GF(2) network coding — :mod:`repro.coding.engine`;
-* continuous-time event windows — :mod:`repro.asynchronous.policy`.
+* continuous-time event windows — :mod:`repro.asynchronous.policy`;
+* randomized triangular (cyclic) barter with a credit line —
+  :mod:`repro.randomized.triangular` (a ``*_run`` helper, no registry
+  entry).
 
 Each engine's construction facade takes only that policy's decision
 parameters (overlay, block policy, mechanism, ...) and passes every
