@@ -2,10 +2,10 @@
 
 Two things every benchmark here needs and used to hand-roll:
 
-* :func:`interleaved_best_of` — best-of wall times for a set of
-  variants, with the rounds interleaved so a machine load spike cannot
-  land on only one of them. Best-of filters scheduler noise far better
-  than means for sub-second workloads.
+* :func:`interleaved_best_of` — best-of self-timed samples for a set
+  of variants, with the rounds interleaved so a machine load spike
+  cannot land on only one of them. Best-of filters scheduler noise far
+  better than means for sub-second workloads.
 * :func:`update_bench_json` — persist the numbers machine-readably
   (``BENCH_*.json`` at the repo root) so the perf trajectory is tracked
   across PRs instead of scrolling away in CI logs. Every write stamps
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import time
 import warnings
 from typing import Callable, Mapping
 
@@ -40,22 +39,18 @@ def git_rev() -> str:
 
 
 def interleaved_best_of(
-    fns: Mapping[str, Callable[[], object]], rounds: int = 5
+    fns: Mapping[str, Callable[[], float]], rounds: int = 5
 ) -> dict[str, dict]:
-    """Time each callable ``rounds`` times, interleaving the variants.
+    """Sample each callable ``rounds`` times, interleaving the variants.
 
-    Returns ``{name: {"rounds": [seconds, ...], "best": seconds}}``. A
-    callable that returns a float is treated as *self-timed* — the
-    returned value is recorded instead of the call's wall time — which
-    lets a workload exclude setup or warm-up from its sample.
+    Each callable times itself and returns its sample in seconds, so a
+    workload can leave setup or warm-up out of it. Returns
+    ``{name: {"rounds": [seconds, ...], "best": seconds}}``.
     """
     times: dict[str, list[float]] = {name: [] for name in fns}
     for _ in range(rounds):
         for name, fn in fns.items():
-            start = time.perf_counter()
-            out = fn()
-            elapsed = time.perf_counter() - start
-            times[name].append(out if isinstance(out, float) else elapsed)
+            times[name].append(fn())
     return {name: {"rounds": ts, "best": min(ts)} for name, ts in times.items()}
 
 

@@ -41,8 +41,8 @@ __all__ = [
     "read_heartbeat",
 ]
 
-#: Default checkpoint cadence in ticks; the checkpoint benchmark
-#: (``benchmarks/bench_checkpoint.py``) pins the overhead at this
+#: Default checkpoint cadence in ticks; the checkpoint arm of
+#: ``benchmarks/bench_overhead.py`` pins the overhead at this
 #: interval under 5% per tick at n = k = 1000.
 DEFAULT_INTERVAL = 50
 

@@ -76,7 +76,7 @@ def digest_run(
     # per-tier delivery counts per window, server upload counts. Gaps
     # are tallied in plain dicts first — distinct gap values are few, so
     # bulk-adding them afterwards keeps the pass allocation-light even
-    # on million-transfer logs (the bench_telemetry overhead gate).
+    # on million-transfer logs (the telemetry arm of bench_overhead).
     last_arrival = [0] * n
     gap_counts = {t: {} for t in tier_names}  # tier -> gap -> samples
     thru_counts = {t: {} for t in tier_names}  # tier -> window -> blocks

@@ -118,6 +118,19 @@ class TestTransferLoss:
 
 
 class TestCrashes:
+    def test_crash_rejoin_swarm_completes(self):
+        # A churning swarm: every crash budgeted, half of each rejoiner's
+        # blocks kept, and the run still finishes.
+        plan = FaultPlan(
+            crash_rate=0.002, rejoin_delay=5, rejoin_retention=0.5,
+            max_crashes=16,
+        )
+        r = randomized_cooperative_run(
+            128, 64, rng=1, keep_log=False, faults=plan, max_ticks=2000
+        )
+        assert r.meta["crashes"] == 16
+        assert r.completed
+
     def test_crash_rejoin_verifies_with_events(self):
         plan = FaultPlan(
             crash_rate=0.02, rejoin_delay=4, rejoin_retention=0.5,

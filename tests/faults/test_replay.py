@@ -7,6 +7,7 @@ import pytest
 from repro.core.engine import execute_schedule
 from repro.core.verify import verify_log
 from repro.faults import FaultPlan, RecoveryPolicy, replay_schedule
+from repro.schedules.hypercube import hypercube_schedule
 from repro.schedules.simple import pipeline_schedule
 
 pytestmark = pytest.mark.faults
@@ -39,6 +40,16 @@ class TestLossyReplay:
         assert r.meta["retries"] > 0
         report = verify_log(r.log, 12, 6)
         assert report.failed_transfers == r.log.failed_count
+
+    def test_hypercube_replay_with_retries_completes(self):
+        r = replay_schedule(
+            hypercube_schedule(128, 64),
+            faults=FaultPlan(loss_rate=0.1),
+            recovery=RecoveryPolicy(max_retries=5),
+            rng=2,
+        )
+        assert r.completed
+        assert r.meta["retries"] > 0
 
     def test_deliveries_preserve_schedule_content(self):
         # Whatever the fault realisation, the delivered multiset equals

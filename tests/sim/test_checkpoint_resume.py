@@ -7,7 +7,7 @@ then — for each captured boundary — rebuilds an identically-configured
 engine, restores the checkpoint (through a JSON round-trip, exactly what
 the on-disk format does) and runs it to completion. The resumed run must
 reproduce the reference **byte for byte**: transfer log, failure stream,
-completion ticks, verdicts, crash/rejoin events.
+completion ticks, verdicts, crash/rejoin events and the tick it ends on.
 
 This is the contract that makes preemption recovery trustworthy: a
 killed-and-resumed campaign job is indistinguishable from one that never
@@ -31,6 +31,12 @@ def _kernel(engine):
     return getattr(engine, "kernel", engine)
 
 
+def _finish(engine):
+    """Run to the end: the byte-identity surface plus the final tick, so
+    a stall or max-ticks verdict landing on another tick shows too."""
+    return result_fingerprint(engine.run()), _kernel(engine).tick
+
+
 def _reference_run(factory):
     """Run the spec once, capturing the boundary state at every tick."""
     payloads: dict[int, dict] = {}
@@ -38,7 +44,7 @@ def _reference_run(factory):
     _kernel(engine).arm_checkpoints(
         1, sink=lambda p: payloads.setdefault(p["tick"], p)
     )
-    return result_fingerprint(engine.run()), payloads
+    return _finish(engine), payloads
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ENGINE_FACTORIES))
@@ -52,8 +58,7 @@ def test_resume_is_bit_identical_from_every_tick(name: str) -> None:
         document = json.loads(json.dumps(payload))
         resumed = factory()
         _kernel(resumed).restore_checkpoint(document)
-        fingerprint = result_fingerprint(resumed.run())
-        assert fingerprint == baseline, (
+        assert _finish(resumed) == baseline, (
             f"{name}: resume from tick {tick} diverged"
         )
 
@@ -68,7 +73,7 @@ def test_resume_engine_from_file(name: str, tmp_path) -> None:
     save_checkpoint(path, payloads[tick])
     resumed = resume_engine(path, factory)
     assert _kernel(resumed).tick == tick
-    assert result_fingerprint(resumed.run()) == baseline
+    assert _finish(resumed) == baseline
 
 
 @pytest.mark.parametrize("name", ["randomized-barter-rarest", "exchange-faults"])
@@ -83,7 +88,7 @@ def test_cross_backend_resume(name: str) -> None:
     document = json.loads(json.dumps(payloads[tick]))
     resumed = factory(backend="array")
     _kernel(resumed).restore_checkpoint(document)
-    assert result_fingerprint(resumed.run()) == baseline
+    assert _finish(resumed) == baseline
     # And back: an array-run checkpoint resumes on the loop backend.
     arr_baseline, arr_payloads = _reference_run(
         lambda: factory(backend="array")
@@ -93,7 +98,7 @@ def test_cross_backend_resume(name: str) -> None:
     document = json.loads(json.dumps(arr_payloads[tick]))
     resumed = factory()
     _kernel(resumed).restore_checkpoint(document)
-    assert result_fingerprint(resumed.run()) == baseline
+    assert _finish(resumed) == baseline
 
 
 def test_restore_refuses_config_mismatch() -> None:
