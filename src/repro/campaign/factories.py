@@ -40,6 +40,7 @@ import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from ..checkpoint import remove_checkpoint, resume_engine
 from ..core.errors import CheckpointError, ConfigError
 from ..core.log import RunResult
 from ..sim.registry import create_engine, run_engine
@@ -116,7 +117,7 @@ class EngineRun:
             result.meta["resumed_from_tick"] = resumed_from
         # The run finished: its checkpoint is spent. (On a crash this
         # line never executes, which is the point.)
-        _remove_quietly(checkpoint.path)
+        remove_checkpoint(checkpoint.path)
         return result
 
 
@@ -131,8 +132,6 @@ def _checkpointed_engine(build, checkpoint: JobCheckpoint):
     engine = None
     resumed_from: int | None = None
     if os.path.exists(checkpoint.path):
-        from ..checkpoint import resume_engine
-
         try:
             engine = resume_engine(checkpoint.path, build)
         except CheckpointError as exc:
@@ -206,7 +205,7 @@ class _BatchProgress:
         """Mark ``replica`` in flight; discard any kernel checkpoint
         that belongs to a different replica."""
         if self.in_flight != replica:
-            _remove_quietly(self.checkpoint.path)
+            remove_checkpoint(self.checkpoint.path)
         self.in_flight = replica
         self._write()
 
@@ -328,7 +327,7 @@ class BatchEngineRun(EngineRun):
                 start_at=progress.completed, engine_hook=hook
             ):
                 # This replica's kernel checkpoint is spent.
-                _remove_quietly(checkpoint.path)
+                remove_checkpoint(checkpoint.path)
                 if pending_resume is not None:
                     result.meta["resumed_from_tick"] = pending_resume
                     pending_resume = None

@@ -13,6 +13,10 @@ a tiny fraction of the ~5*10^7 possible pairs).
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from .errors import ConfigError
 
 __all__ = ["CreditLedger"]
@@ -86,8 +90,16 @@ class CreditLedger:
         return debt
 
     def capture_state(self) -> list[list[int]]:
-        """Balances as JSON-shaped ``[a, b, net]`` rows (checkpointing)."""
-        return [[a, b, net] for (a, b), net in sorted(self._net.items())]
+        """Balances as JSON-shaped ``[a, b, net]`` rows sorted by pair
+        (checkpointing); one ``np.lexsort``, not a Python sort."""
+        size = len(self._net)
+        if not size:
+            return []
+        pairs = np.fromiter(chain.from_iterable(self._net), np.int64, 2 * size)
+        nets = np.fromiter(self._net.values(), np.int64, size)
+        pairs = pairs.reshape(size, 2)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        return np.column_stack((pairs[order], nets[order])).tolist()
 
     def restore_state(self, rows) -> None:
         """Restore :meth:`capture_state` output in place."""

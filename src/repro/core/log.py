@@ -344,7 +344,12 @@ class TransferLog:
     A value outside the int32 range raises :class:`ConfigError`.
     """
 
-    __slots__ = ("_streams", "_deliveries", "_failures", "_polluted", "_phantoms")
+    # ``__weakref__``: an in-memory checkpoint payload names its log by
+    # a token that resolves through a weak registry (repro.checkpoint).
+    __slots__ = (
+        "_streams", "_deliveries", "_failures", "_polluted", "_phantoms",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -442,23 +447,44 @@ class TransferLog:
         for stream, rows in zip(self._streams, batches):
             stream.extend(rows)
 
-    def columns(self, stream: str = "transfers") -> tuple[np.ndarray, ...]:
+    def columns(
+        self, stream: str = "transfers", start: int = 0, stop: int | None = None
+    ) -> tuple[np.ndarray, ...]:
         """The ``(tick, src, dst, block)`` int32 columns of one stream.
 
-        Read-only numpy arrays. While the stream fits one chunk
-        (:data:`CHUNK_ROWS` rows) they are views of the log's storage, no
-        copy; a view is a snapshot: appending to the stream afterwards
-        copies its columns once and leaves the views as they were. A
-        longer stream's columns are concatenated from its chunks, a copy.
+        ``start``/``stop`` select rows ``start:stop`` (default: all of
+        them); only the chunks holding those rows are read, so a prefix
+        or a tail of a long log costs its own length, not the log's.
+        Read-only numpy arrays. Rows within one chunk (:data:`CHUNK_ROWS`
+        rows) are views of the log's storage, no copy; a view is a
+        snapshot: appending to the stream afterwards copies its columns
+        once and leaves the views as they were. Rows spanning chunks are
+        concatenated, a copy. A range outside the stream raises
+        :class:`ConfigError`.
         """
-        chunks = self._stream(stream).chunks()
-        if len(chunks) == 1:
-            views = tuple(np.frombuffer(col, np.int32) for col in chunks[0])
-        else:
-            views = tuple(
-                np.concatenate([np.frombuffer(col, np.int32) for col in parts])
-                for parts in zip(*chunks)
+        source = self._stream(stream)
+        size = len(source)
+        stop = size if stop is None else stop
+        if not 0 <= start <= stop <= size:
+            raise ConfigError(
+                f"rows {start}:{stop} outside the {size} rows of {stream}"
             )
+        chunks = source.chunks()
+        first = min(start // CHUNK_ROWS, len(chunks) - 1)
+        last = max(first, -(-stop // CHUNK_ROWS) - 1)
+        pieces = [
+            [
+                np.frombuffer(col, np.int32)[
+                    max(start - i * CHUNK_ROWS, 0) : stop - i * CHUNK_ROWS
+                ]
+                for col in chunks[i]
+            ]
+            for i in range(first, last + 1)
+        ]
+        if len(pieces) == 1:
+            views = tuple(pieces[0])
+        else:
+            views = tuple(map(np.concatenate, zip(*pieces)))
         for view in views:
             view.flags.writeable = False
         return views

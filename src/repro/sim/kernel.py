@@ -41,7 +41,12 @@ from typing import Callable
 
 from ..adversary.driver import PHANTOM, AdversaryDriver
 from ..adversary.plan import AdversaryPlan
-from ..checkpoint import rng_state_from_json, rng_state_to_json
+from ..checkpoint import (
+    capture_log,
+    restore_log,
+    rng_state_from_json,
+    rng_state_to_json,
+)
 from ..core.bandwidth import BandwidthClasses
 from ..core.errors import CheckpointError, ConfigError
 from ..core.log import STREAMS, RunResult, TransferLog
@@ -806,7 +811,10 @@ class TickKernel:
         """Capture the complete tick-boundary state as a JSON-shaped dict.
 
         Pass the result to :func:`repro.checkpoint.save_checkpoint` (or
-        an armed sink — see :meth:`arm_checkpoints`). Tick-boundary-only:
+        an armed sink — see :meth:`arm_checkpoints`). The ``"log"``
+        entry holds per-stream row counts and this kernel's log, not the
+        rows (:class:`repro.checkpoint.LogPrefix`), so a capture costs
+        nothing per logged row. Tick-boundary-only:
         raises :class:`~repro.core.errors.ConfigError` when called from
         inside :meth:`step` (policy hooks, fault events, progress
         callbacks fired mid-tick), because intra-tick scratch state
@@ -838,8 +846,10 @@ class TickKernel:
         if self.credit is not None:
             payload["credit"] = self.credit.ledger.capture_state()
         if self.keep_log:
+            # Row counts, not rows: the log is append-only, so its
+            # prefix stays what it is now (see repro.checkpoint).
             streams = STREAMS if self.adversary is not None else STREAMS[:2]
-            payload["log"] = {name: self.log.as_lists(name) for name in streams}
+            payload["log"] = capture_log(self.log, streams)
         for axis in AXES:
             runtime = axis.state(self)
             if runtime is not None:
@@ -887,14 +897,7 @@ class TickKernel:
         if self.credit is not None:
             self.credit.ledger.restore_state(document["credit"])
         if self.keep_log:
-            log_doc = document["log"]
-            log = TransferLog()
-            log.extend_batch(
-                log_doc["transfers"],
-                log_doc["failures"],
-                log_doc.get("polluted", ()),
-                log_doc.get("phantoms", ()),
-            )
+            log = restore_log(document["log"])
             self.log = log
             if self.array is not None:
                 # Deferred buffers restart empty; sync_log targets
@@ -924,9 +927,11 @@ class TickKernel:
     ) -> None:
         """Write a checkpoint every ``interval`` ticks during :meth:`run`.
 
-        Exactly one of ``path`` (atomic file writes through
-        :func:`repro.checkpoint.save_checkpoint`, each overwriting the
-        last) or ``sink`` (called with the payload dict) must be given.
+        Exactly one of ``path`` (file writes through
+        :func:`repro.checkpoint.save_checkpoint`: each appends the new
+        log rows to the sidecar and atomically replaces the document)
+        or ``sink`` (called with the in-memory payload dict) must be
+        given.
         ``heartbeat``, when set, is called as ``heartbeat(tick)`` after
         *every* tick — the campaign layer points it at a liveness file
         its watchdog reads. Checkpoints are written only after all of the

@@ -100,3 +100,45 @@ class TestCreditLedger:
                 expected = reference.get(key, 0) * (1 if a < b else -1)
                 assert ledger.balance(a, b) == expected
                 assert ledger.balance(a, b) == -ledger.balance(b, a)
+
+
+class TestCaptureState:
+    """``capture_state`` sorts with numpy; the rows must be exactly the
+    ``sorted()`` form it replaced."""
+
+    @staticmethod
+    def _sorted_form(ledger: CreditLedger) -> list[list[int]]:
+        return [[a, b, net] for (a, b), net in sorted(ledger.pairs().items())]
+
+    def test_empty_ledger(self):
+        assert CreditLedger().capture_state() == []
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 300), st.integers(0, 300), st.integers(0, 4)
+            ),
+            max_size=200,
+        )
+    )
+    def test_matches_the_sorted_form(self, sends):
+        ledger = CreditLedger()
+        for src, dst, blocks in sends:
+            if src != dst:
+                ledger.record_send(src, dst, blocks)
+        rows = ledger.capture_state()
+        assert rows == self._sorted_form(ledger)
+        assert all(type(value) is int for row in rows for value in row)
+        twin = CreditLedger()
+        twin.restore_state(rows)
+        assert twin.pairs() == ledger.pairs()
+
+    def test_negative_nets_and_wide_ids(self):
+        ledger = CreditLedger()
+        ledger.record_send(70_000, 3, 5)  # stored as (3, 70000) = -5
+        ledger.record_send(2, 9)
+        ledger.record_send(9, 2, 3)  # (2, 9) = -2
+        ledger.record_send(2, 1)  # (1, 2) = -1
+        rows = ledger.capture_state()
+        assert rows == [[1, 2, -1], [2, 9, -2], [3, 70_000, -5]]
+        assert rows == self._sorted_form(ledger)
