@@ -492,8 +492,9 @@ class TransferLog:
     def as_lists(self, stream: str = "transfers") -> list[list[int]]:
         """One stream's rows as ``[tick, src, dst, block]`` lists.
 
-        The JSON row shape of :mod:`repro.core.serde` documents and
-        kernel checkpoints, built from the columns one chunk at a time.
+        The JSON row shape of :mod:`repro.core.serde` documents (and of
+        ``repro/checkpoint/v1`` logs), built from the columns one chunk
+        at a time.
         """
         rows: list[list[int]] = []
         for cols in self._stream(stream).chunks():
