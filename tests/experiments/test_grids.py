@@ -17,6 +17,7 @@ import pytest
 from repro.campaign.cache import fn_fingerprint
 from repro.core.errors import ConfigError
 from repro.experiments.adversary import GRIDS as ADV, adversary
+from repro.experiments.extensions import extension_churn
 from repro.experiments.heterogeneity import GRIDS as HET
 from repro.experiments.open_system import GRIDS as OS
 from repro.experiments.resilience import GRIDS as RES
@@ -51,7 +52,15 @@ JSON_SHA256 = {
     "open-system": "84d81b21a521bc48e4833a7fc90e42c203cea261f2d95343be7bd99ec98b2324",
     "adversary": "ca08d3217e6cd481522acfde6ddadf0595ad609aee368371488e497498d2c5af",
     "heterogeneity": "d8f52f7f358e5f921dd28d77d79a25476544e144f728c3513164746d7439dede",
+    # Not a grid experiment: its runs are WorkloadSpec arrival and
+    # departure tables on the randomized engine.
+    "ext-churn": "792ca86dd1d5a32212af85b4cb42c89d84e4948f40814619aa29938fd323274a",
 }
+
+
+def _json_digest(result) -> str:
+    text = json.dumps([_to_jsonable(result)], indent=2, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -61,8 +70,11 @@ class TestPins:
 
     def test_ci_json_digest(self, scenario_ci, name):
         result, _ = scenario_ci(name)
-        text = json.dumps([_to_jsonable(result)], indent=2, default=str)
-        assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[name]
+        assert _json_digest(result) == JSON_SHA256[name]
+
+
+def test_ext_churn_ci_json_digest():
+    assert _json_digest(extension_churn(scale="ci")) == JSON_SHA256["ext-churn"]
 
 
 class TestTables:

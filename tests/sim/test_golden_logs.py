@@ -4,7 +4,8 @@ Each fixture under ``golden/`` was captured from the pre-kernel engines
 at a pinned seed (see ``golden_specs.py``). Replaying the same spec on
 the refactored engines must reproduce the transfer log (deliveries *and*
 failures), the completion time, per-client completions and the abort
-verdict byte for byte — any drift here would move the paper figures.
+verdict byte for byte, and end on the pinned final tick — any drift here
+would move the paper figures.
 """
 
 from __future__ import annotations
@@ -15,9 +16,34 @@ import os
 import pytest
 
 from .capture_golden import result_fingerprint
-from .golden_specs import GOLDEN_SPECS
+from .golden_specs import ARRAY_CAPABLE_SPECS, GOLDEN_ENGINE_FACTORIES, GOLDEN_SPECS
 
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+#: The tick each fixture's run ends on. The stored fixtures carry no
+#: tick, so a stall or max-ticks verdict landing on another tick would
+#: pass the identity test; this table was captured from the same specs
+#: (loop and array backends agree) without recapturing any fixture.
+FINAL_TICKS = {
+    "async-crash": 26,
+    "async-kernel": 15,
+    "bittorrent-crash": 57,
+    "churn": 16,
+    "churn-faults": 16,
+    "coding-crash": 20,
+    "exchange": 44,
+    "exchange-faults": 28,
+    "exchange-overlay": 29,
+    "randomized-barter-rarest": 15,
+    "randomized-cooperative": 23,
+    "randomized-faults": 21,
+    "randomized-overlay-throttle": 16,
+    "randomized-selfish-barter": 14,
+    "randomized-server-outage": 22,
+    "triangular": 18,
+    "triangular-exchange-overlay": 29,
+    "triangular-sparse-stall": 45,
+}
 
 
 def _load(name: str) -> dict:
@@ -50,3 +76,13 @@ def test_golden_specs_are_seed_stable(name: str) -> None:
     assert result_fingerprint(GOLDEN_SPECS[name]()) == result_fingerprint(
         GOLDEN_SPECS[name]()
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENGINE_FACTORIES))
+def test_golden_final_tick(name: str) -> None:
+    assert sorted(FINAL_TICKS) == sorted(GOLDEN_ENGINE_FACTORIES)
+    backends = ("loop", "array") if name in ARRAY_CAPABLE_SPECS else ("loop",)
+    for backend in backends:
+        engine = GOLDEN_ENGINE_FACTORIES[name](backend=backend)
+        engine.run()
+        assert getattr(engine, "kernel", engine).tick == FINAL_TICKS[name], backend
