@@ -21,8 +21,18 @@ from __future__ import annotations
 import argparse
 import random
 
-from repro.randomized import churn_run, randomized_cooperative_run
+from repro.randomized import randomized_cooperative_run
 from repro.schedules import cooperative_lower_bound
+from repro.workloads import WorkloadSpec
+
+
+def churned(n: int, k: int, seed: int, arrivals=None, departures=None):
+    """A cooperative run with per-client arrival and departure tables."""
+    tables = WorkloadSpec(
+        arrivals=tuple((arrivals or {}).items()),
+        departures=tuple((departures or {}).items()),
+    )
+    return randomized_cooperative_run(n, k, rng=seed, workload=tables)
 
 
 def spread(completions: dict[int, int]) -> str:
@@ -59,23 +69,24 @@ def main() -> None:
             arrivals[c] = 1 + rng.randrange(1, max(2, k // 2))
         else:
             arrivals[c] = 1 + rng.randrange(max(2, k // 2), max(3, 3 * k // 2))
-    crowd = churn_run(n, k, arrivals=arrivals, rng=args.seed)
+    crowd = churned(n, k, args.seed, arrivals=arrivals)
     print(f"flash crowd:         T = {crowd.completion_time}  "
           f"({spread(crowd.client_completions)})")
 
     # Early leavers: a third of the swarm departs mid-distribution.
     leavers = clients[: len(clients) // 3]
     departures = {c: 2 + rng.randrange(k) for c in leavers}
-    drained = churn_run(n, k, departures=departures, rng=args.seed)
+    drained = churned(n, k, args.seed, departures=departures)
+    survivors = set(drained.client_completions) - set(drained.meta["departed_at"])
     print(f"early leavers (1/3): T = {drained.completion_time}  "
-          f"({len(drained.client_completions)} survivors completed)")
+          f"({len(survivors)} survivors completed)")
 
-    both = churn_run(
+    both = churned(
         n,
         k,
+        args.seed,
         arrivals=arrivals,
         departures={c: arrivals.get(c, 1) + k // 2 for c in leavers},
-        rng=args.seed,
     )
     print(f"crowd + leavers:     T = {both.completion_time}")
 

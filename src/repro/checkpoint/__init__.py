@@ -518,7 +518,7 @@ def resume_engine(path: str | os.PathLike, factory: Callable[[], object]):
     (including the seed) as the checkpointed run — construction replays
     the derived-stream seeding draws, restore then overwrites every RNG
     state — and return either a kernel or any engine facade exposing a
-    ``.kernel`` attribute (all six registry engines do). Returns the
+    ``.kernel`` attribute (every registry engine does). Returns the
     restored engine, positioned at the checkpoint's tick boundary; call
     ``.run()`` / ``.kernel.run()`` to continue.
     """

@@ -709,7 +709,7 @@ class RunResult:
     def deadlocked(self) -> bool:
         """True when the run aborted on a *proven* permanent deadlock.
 
-        Uniform across engines: randomized/churn runs set
+        Uniform across engines: randomized runs set
         ``meta["deadlocked"]`` from their conclusive zero-transfer proof;
         engines that can only time out (exchange, triangular) leave it
         unset, which reads as False here. Analysis code should use this

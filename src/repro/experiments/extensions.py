@@ -38,6 +38,7 @@ from ..randomized.bittorrent import bittorrent_run
 from ..randomized.cooperative import randomized_cooperative_run
 from ..schedules.bounds import cooperative_lower_bound
 from ..schedules.multiserver import multi_server_schedule, multi_server_time
+from ..workloads import WorkloadSpec
 from .figures import FigureResult
 from .scale import Scale, resolve_scale
 
@@ -326,8 +327,6 @@ def extension_churn(
     Sweeps the fraction of clients that departs mid-run and, separately,
     the fraction arriving late, against the static baseline.
     """
-    from ..randomized.churn import churn_run
-
     s = resolve_scale(scale)
     n, k = s.fig4_n, max(s.fit_ks)
     lb = cooperative_lower_bound(n, k)
@@ -341,12 +340,12 @@ def extension_churn(
             clients = list(range(1, n))
             rng.shuffle(clients)
             affected = clients[: int(fraction * (n - 1))]
-            if kind == "departures":
-                table = {c: 2 + rng.randrange(max(2, k)) for c in affected}
-                result = churn_run(n, k, departures=table, rng=seed + 1, keep_log=False)
-            else:
-                table = {c: 1 + rng.randrange(max(2, k)) for c in affected}
-                result = churn_run(n, k, arrivals=table, rng=seed + 1, keep_log=False)
+            first = 2 if kind == "departures" else 1
+            table = tuple((c, first + rng.randrange(max(2, k))) for c in affected)
+            result = randomized_cooperative_run(
+                n, k, rng=seed + 1, keep_log=False,
+                workload=WorkloadSpec(**{kind: table}),
+            )
             if result.completed:
                 times.append(float(result.completion_time))
         mean_t = sum(times) / len(times) if times else None

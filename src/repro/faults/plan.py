@@ -14,7 +14,7 @@ transfer arrives, every node stays up, the server never blinks. A
 * **node crashes** — each present client independently crashes with
   per-tick hazard ``crash_rate``. ``rejoin_delay == 0`` means fail-stop
   (the node never returns and stops counting toward completion, like a
-  churn departure); otherwise the node rejoins after ``rejoin_delay``
+  workload departure); otherwise the node rejoins after ``rejoin_delay``
   ticks retaining an independent ``rejoin_retention`` fraction of its
   blocks. Crashed copies leave the swarm — a crash can make a block rare
   (or server-only) again.

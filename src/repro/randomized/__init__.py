@@ -16,7 +16,6 @@ re-check.
 
 from .barter import randomized_barter_run
 from .bittorrent import BitTorrentEngine, bittorrent_run
-from .churn import ChurnEngine, churn_run
 from .cooperative import randomized_cooperative_run
 from .engine import RandomizedEngine, default_max_ticks
 from .exchange import randomized_exchange_run
@@ -31,8 +30,6 @@ from .policies import (
 __all__ = [
     "BitTorrentEngine",
     "BlockPolicy",
-    "ChurnEngine",
-    "churn_run",
     "EstimatedRarestFirstPolicy",
     "RandomPolicy",
     "RandomizedEngine",

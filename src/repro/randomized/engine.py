@@ -607,8 +607,6 @@ class RandomizedEngine:
         tick on the scalar path, with byte-identical results.
     """
 
-    _tick_policy_cls = RandomizedTickPolicy
-
     def __init__(
         self,
         n: int,
@@ -644,7 +642,7 @@ class RandomizedEngine:
         # identical to no throttle (no RNG draws are spent on it).
         self.throttle = {node: p for node, p in (throttle or {}).items() if p > 0}
 
-        self.tick_policy = self._tick_policy_cls(
+        self.tick_policy = RandomizedTickPolicy(
             self.policy,
             self.mechanism,
             throttle=self.throttle,

@@ -11,7 +11,7 @@ Two layers on top of the shared tick kernel:
   randomized tick is vectorized, and faulted, credit and tiered runs take
   the scalar decision path at loop speed. Decision RNG stays in the
   policy, so an array-backed run is byte-identical to the loop backend —
-  the golden-log suite replays every randomized/churn/exchange fixture on
+  the golden-log suite replays every randomized/exchange fixture on
   both.
 * :class:`BatchRunner` — S seed-replicas of one configuration executed
   over a single stacked ``(S, n, w)`` ownership tensor, returning whole

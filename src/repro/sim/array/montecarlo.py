@@ -129,7 +129,7 @@ class BatchRunner:
     ----------
     engine:
         Registry name; must be an array-capable engine (randomized,
-        churn, exchange) — others raise
+        exchange) — others raise
         :class:`~repro.core.errors.ConfigError` naming the engine.
     n, k, **options:
         Forwarded to the engine factory (overlay, mechanism, faults, ...).

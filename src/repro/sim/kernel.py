@@ -11,7 +11,8 @@ mechanisms — and gives the library a single hot path to optimise.
 
 Kernel responsibilities, per tick:
 
-1. ``policy.pre_tick`` — churn events, dynamic-overlay updates;
+1. workload membership events (arrivals, naps, departures), then
+   ``policy.pre_tick`` — dynamic-overlay updates;
 2. fault crash/rejoin processing (rejoins land before the crash draw);
 3. the start-of-tick snapshot via ``SwarmState.begin_tick`` (synchronous
    semantics: blocks received in tick ``t`` forward from ``t + 1``);
@@ -172,6 +173,11 @@ class _Faults(Axis):
 class _Workload(Axis):
     name = slot = "workload"
     runtime, state_key = "_membership", "membership"
+
+    def needs_seed(self, spec):
+        # Explicit arrival/departure tables alone draw nothing, so they
+        # shift no other stream of the run.
+        return spec.needs_rng
 
     def arm(self, kernel, spec, seed):
         kernel.workload = spec
@@ -409,7 +415,7 @@ class TickKernel:
         self._avail: list[int] = []
         self._avail_pos: dict[int, int] = {}
         self._avail_active = False
-        #: Nodes currently out of the swarm (crashes, churn).
+        #: Nodes currently out of the swarm (crashes, workload membership).
         self.absent: set[int] = set()
 
         self.credit = credit
@@ -758,12 +764,10 @@ class TickKernel:
         return made
 
     def _goal_reached(self) -> bool:
-        policy = self.policy
         return (
-            policy.all_complete()
+            self.policy.all_complete()
             and (self.faults is None or not self.faults.pending_rejoins())
             and (self._membership is None or self._membership.goal_ok())
-            and policy.goal_extra()
         )
 
     def _zero_tick_conclusive(self) -> bool:

@@ -1,21 +1,23 @@
 """Kernel-level membership: executing a compiled workload timeline.
 
-The churn engine proved out pending-arrival machinery for one policy;
-this module is that machinery generalised to *every* registry engine.
 :class:`MembershipRuntime` owns the per-tick execution of a
-:class:`~repro.workloads.compiler.CompiledWorkload`:
+:class:`~repro.workloads.compiler.CompiledWorkload`, on every registry
+engine:
 
 * **arrivals** — the node is enrolled empty at the start of its tick
   (``policy.after_arrival`` bootstraps engine-side state, e.g.
-  BitTorrent's server-side optimistic unchoke);
+  BitTorrent's server-side optimistic unchoke); an explicit arrival
+  (an initial-cohort client held back) is retired at construction;
 * **availability downtime** — at a window start the node's retained
   state is captured (``policy.capture_retained``) and it leaves through
   the same path a fault crash takes; at the window end it returns
   through the fault-rejoin path (``restore_retained`` + ``after_rejoin``),
   holdings intact — downtime is a nap, not a crash;
-* **departures** — steady-state behavior: a client that completes
-  departs after ``seed_holdover`` ticks of seeding, through the crash
-  path (its copies leave the swarm).
+* **departures** — scheduled from the explicit table, and as
+  steady-state behavior: a client that completes departs after
+  ``seed_holdover`` ticks of seeding. Either way the node leaves
+  through the crash path (its copies leave the swarm), once: the first
+  departure wins.
 
 The runtime also keeps the open-system telemetry the analysis layer
 reads: per-node join/completion/departure ticks (sojourn times),
@@ -53,7 +55,7 @@ class MembershipRuntime:
         self.joined_at: dict[int, int] = {}
         #: Completion tick per client (authoritative for the result).
         self.completed_at: dict[int, int] = {}
-        #: Departure tick per client (steady-state departures only).
+        #: Departure tick per client.
         self.departed_at: dict[int, int] = {}
         self.swarm_size_per_tick: list[int] = []
         self.seeds_per_tick: list[int] = []
@@ -86,12 +88,21 @@ class MembershipRuntime:
             kernel._pool_remove(node)
             if node not in scheduled:
                 policy.after_departure(node)
-        for node in range(1, compiled.initial + 1):
-            self.joined_at[node] = 0
-            self._watch.add(node)
         for node, tick in compiled.arrivals:
+            if node <= compiled.initial:
+                # An explicit arrival: held back from the initial cohort.
+                kernel.absent.add(node)
+                state.retire(node)
+                kernel._pool_remove(node)
             self._arrive_at.setdefault(tick, []).append(node)
             self._pending_arrivals += 1
+        for node in range(1, compiled.initial + 1):
+            if node not in scheduled:
+                self.joined_at[node] = 0
+                self._watch.add(node)
+        for node, tick in compiled.departures:
+            self._depart_at.setdefault(tick, []).append(node)
+            self._pending_departures += 1
         for node, windows in compiled.downtime:
             for start, end in windows:
                 self._offline_at.setdefault(start, []).append(node)
@@ -156,6 +167,8 @@ class MembershipRuntime:
 
         for node in self._depart_at.pop(tick, ()):
             self._pending_departures -= 1
+            if node in self.departed_at:
+                continue  # left already: the first departure wins
             if node in self._offline:
                 # Departs mid-nap: it simply never returns.
                 self._offline.pop(node)
@@ -164,7 +177,7 @@ class MembershipRuntime:
                 continue
             if node in absent:
                 # Crash-absent: the departure wins — cancel the fault
-                # rejoin so the run stops waiting for it (churn's rule).
+                # rejoin so the run stops waiting for it.
                 if kernel.faults is not None:
                     kernel.faults.cancel_rejoin(node)
                 self.departed_at[node] = tick
@@ -302,8 +315,9 @@ class MembershipRuntime:
             "swarm_size_per_tick": list(self.swarm_size_per_tick),
             "seeds_per_tick": list(self.seeds_per_tick),
             "dropped_arrivals": self.dropped_arrivals,
-            "unused_clients": (
-                self.kernel.n - 1 - compiled.initial - len(compiled.arrivals)
+            "unused_clients": len(
+                set(range(compiled.initial + 1, self.kernel.n))
+                - {node for node, _ in compiled.arrivals}
             ),
             "availability_profiles": dict(compiled.profile_of),
         }

@@ -11,7 +11,6 @@ Concrete policies live next to the engines they power:
 
 * randomized sampling (cooperative / credit-limited barter) —
   :mod:`repro.randomized.engine`;
-* the same with scheduled churn — :mod:`repro.randomized.churn`;
 * strict-barter pairwise exchange — :mod:`repro.randomized.exchange`;
 * BitTorrent choking — :mod:`repro.randomized.bittorrent`;
 * GF(2) network coding — :mod:`repro.coding.engine`;
@@ -109,16 +108,13 @@ class TickPolicy:
     # -- lifecycle ---------------------------------------------------------
 
     def bind(self, kernel: "TickKernel") -> None:
-        """Attach the kernel; called once, at the end of kernel setup.
-
-        Policies that must adjust initial swarm membership (late churn
-        arrivals) extend this.
-        """
+        """Attach the kernel; called once, before the scenario axes are
+        armed (the membership runtime calls policy hooks)."""
         self.kernel = kernel
 
     def pre_tick(self, tick: int) -> None:
-        """Hook before fault events and the snapshot (churn, dynamic
-        overlays)."""
+        """Hook after membership events, before fault events and the
+        snapshot (dynamic overlays)."""
 
     def run_tick(self, snapshot: list[int]) -> None:
         """Decide and attempt this tick's uploads via ``kernel.attempt``.
@@ -140,11 +136,6 @@ class TickPolicy:
     def all_complete(self) -> bool:
         """Whether every tracked client holds the complete file."""
         return self.kernel.state.all_complete
-
-    def goal_extra(self) -> bool:
-        """Extra completion conditions (churn waits out pending
-        arrivals); ANDed with :meth:`all_complete`."""
-        return True
 
     def zero_tick_conclusive(self) -> bool:
         """Whether a zero-attempt tick proves permanent deadlock, as far

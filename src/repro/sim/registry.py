@@ -122,13 +122,6 @@ ENGINES: dict[str, EngineSpec] = {
             policy="repro.randomized.engine:RandomizedTickPolicy",
         ),
         EngineSpec(
-            name="churn",
-            summary="randomized sampling with scheduled arrivals/departures",
-            mechanism="cooperative / credit-limited barter",
-            engine="repro.randomized.churn:ChurnEngine",
-            policy="repro.randomized.churn:ChurnTickPolicy",
-        ),
-        EngineSpec(
             name="exchange",
             summary="randomized strict-barter pairwise exchange matching",
             mechanism="strict barter",

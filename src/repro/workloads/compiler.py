@@ -6,8 +6,11 @@ same inputs produce byte-identical output (the property tests pin
 this). The compiled form is exactly what the kernel's membership
 runtime executes:
 
-* an **arrival schedule** — ``(node, tick)`` pairs, client ids assigned
-  chronologically from the arrival pool (ids above the initial cohort);
+* an **arrival schedule** — ``(node, tick)`` pairs: the spec's explicit
+  ``arrivals`` table (initial-cohort clients held back), then the
+  generated arrivals, client ids assigned chronologically from the
+  arrival pool (ids above the initial cohort);
+* the spec's explicit ``departures`` table, checked against the joins;
 * per-node **downtime windows** — inclusive tick ranges during which a
   node is offline, derived from its availability profile's period,
   uptime and random phase;
@@ -44,9 +47,12 @@ class CompiledWorkload:
     initial:
         Clients ``1..initial`` are present at tick 0.
     arrivals:
-        ``(node, tick)`` pairs in chronological order; ticks are
-        1-based and node ids are assigned in arrival order starting at
-        ``initial + 1``.
+        ``(node, tick)`` pairs: the explicit table in its own order
+        (ids ``<= initial``), then the generated arrivals in
+        chronological order, ids assigned in arrival order starting at
+        ``initial + 1``. Ticks are 1-based.
+    departures:
+        The explicit ``(node, tick)`` departure table, in its order.
     downtime:
         ``(node, windows)`` pairs where ``windows`` is a tuple of
         inclusive ``(start, end)`` tick ranges the node spends offline.
@@ -64,6 +70,7 @@ class CompiledWorkload:
     horizon: int
     initial: int
     arrivals: tuple[tuple[int, int], ...]
+    departures: tuple[tuple[int, int], ...]
     downtime: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     profile_of: tuple[tuple[int, str], ...]
     depart_after_complete: bool
@@ -89,14 +96,15 @@ def _poisson(rng, lam: float) -> int:
 
 
 def compile_workload(
-    spec: WorkloadSpec, n: int, seed: int, horizon: int
+    spec: WorkloadSpec, n: int, seed: int | None, horizon: int
 ) -> CompiledWorkload:
     """Realise ``spec`` for an ``n``-node swarm over ``horizon`` ticks.
 
     Pure and deterministic: every stochastic ingredient draws from its
     own namespaced child stream of ``seed`` (see
     :mod:`repro.workloads.rng`), so distinct ingredients never perturb
-    each other's draws.
+    each other's draws. ``seed`` may be ``None`` only when
+    ``spec.needs_rng`` is false.
     """
     if n < 2:
         raise ConfigError(f"need a server and at least one client, got n={n}")
@@ -104,6 +112,24 @@ def compile_workload(
         raise ConfigError(f"horizon must be >= 1 tick, got {horizon}")
     clients = n - 1
     initial = round(spec.initial_fraction * clients)
+    for node, _ in spec.arrivals + spec.departures:
+        if node >= n:
+            raise ConfigError(f"unknown client {node}: the swarm has n={n}")
+    for node, tick in spec.arrivals:
+        if node > initial:
+            raise ConfigError(
+                f"client {node} is in the arrival pool (ids above "
+                f"{initial}); an explicit arrival must name an "
+                f"initial-cohort client"
+            )
+        # An arrival past the horizon can never join: the run would
+        # wait out the goal until max_ticks and abort.
+        if tick > horizon:
+            raise ConfigError(
+                f"client {node} arrives at tick {tick}, after the run's "
+                f"max_ticks ({horizon}); it could never join — raise "
+                f"max_ticks or move the arrival"
+            )
 
     # -- arrival counts per tick (all streams layered) ---------------------
     counts: dict[int, int] = {}
@@ -128,7 +154,7 @@ def compile_workload(
             counts[tick] = counts.get(tick, 0) + count
 
     # -- chronological id assignment from the arrival pool -----------------
-    arrivals: list[tuple[int, int]] = []
+    arrivals = list(spec.arrivals)
     next_id = initial + 1
     dropped = 0
     for tick in sorted(counts):
@@ -139,8 +165,17 @@ def compile_workload(
             arrivals.append((next_id, tick))
             next_id += 1
 
-    # -- availability: profile assignment + downtime windows ---------------
     join_tick = {node: tick for node, tick in arrivals}
+    for node, tick in spec.departures:
+        joined = join_tick.get(node, 0 if node <= initial else None)
+        if joined is None or joined >= tick:
+            when = "it never joins" if joined is None else f"tick {joined}"
+            raise ConfigError(
+                f"client {node} would depart (tick {tick}) before or at "
+                f"its arrival ({when})"
+            )
+
+    # -- availability: profile assignment + downtime windows ---------------
     profile_of: list[tuple[int, str]] = []
     downtime: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     if spec.availability:
@@ -185,6 +220,7 @@ def compile_workload(
         horizon=horizon,
         initial=initial,
         arrivals=tuple(arrivals),
+        departures=spec.departures,
         downtime=tuple(downtime),
         profile_of=tuple(profile_of),
         depart_after_complete=spec.depart_after_complete,

@@ -2,7 +2,8 @@
 :class:`~repro.faults.plan.FaultPlan`).
 
 A :class:`WorkloadSpec` says who arrives when, how reliably nodes stay
-online, and what they do after completing — as pure configuration:
+online, who leaves when, and what nodes do after completing — as pure
+configuration:
 deterministic, hashable, picklable, and safe to bake into campaign run
 factories (its ``repr`` enters the result-cache fingerprint). All
 randomness is deferred to :func:`~repro.workloads.compiler.compile_workload`,
@@ -15,7 +16,7 @@ which keeps closed-batch runs bit-identical with or without the argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from ..core.errors import ConfigError
 
@@ -107,6 +108,15 @@ class WorkloadSpec:
     seed_holdover:
         Ticks a completed client keeps seeding before departing (only
         meaningful with ``depart_after_complete``).
+    arrivals, departures:
+        Explicit per-client ``(node, tick)`` tables (1-based ticks). A
+        listed arrival is an initial-cohort client held back until its
+        tick, when it joins empty; a listed departure leaves at the
+        start of its tick, for good, taking its copies with it (a
+        departure after the horizon never happens but still keeps a
+        silent tick from proving deadlock). A client may do both, but
+        must arrive first. The tables are deterministic: a spec that
+        sets nothing else draws no RNG (:attr:`needs_rng`).
     """
 
     initial_fraction: float = 1.0
@@ -118,6 +128,8 @@ class WorkloadSpec:
     availability: tuple[AvailabilityProfile, ...] = ()
     depart_after_complete: bool = False
     seed_holdover: int = 0
+    arrivals: tuple[tuple[int, int], ...] = ()
+    departures: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.initial_fraction <= 1.0:
@@ -179,6 +191,21 @@ class WorkloadSpec:
                 f"availability profile shares sum to {total_share:.3f} > 1"
             )
         object.__setattr__(self, "availability", profiles)
+        for label in ("arrivals", "departures"):
+            table = tuple((int(v), int(t)) for v, t in getattr(self, label))
+            seen: set[int] = set()
+            for node, tick in table:
+                if node < 1:
+                    raise ConfigError(
+                        f"{label} name clients (ids from 1; the server "
+                        f"neither arrives nor departs), got {node}"
+                    )
+                if tick < 1:
+                    raise ConfigError(f"{label} ticks are 1-based, got {tick}")
+                if node in seen:
+                    raise ConfigError(f"client {node} is listed twice in {label}")
+                seen.add(node)
+            object.__setattr__(self, label, table)
 
     @property
     def is_null(self) -> bool:
@@ -195,7 +222,16 @@ class WorkloadSpec:
             and not self.flash_crowds
             and not self.availability
             and not self.depart_after_complete
+            and not self.arrivals
+            and not self.departures
         )
+
+    @property
+    def needs_rng(self) -> bool:
+        """Whether arming the spec draws a workload seed: every non-null
+        spec does, except one whose only settings are the deterministic
+        ``arrivals``/``departures`` tables."""
+        return not replace(self, arrivals=(), departures=()).is_null
 
     def describe(self) -> dict[str, object]:
         """Compact JSON-able summary (non-default fields only)."""
@@ -204,7 +240,7 @@ class WorkloadSpec:
             value = getattr(self, f.name)
             if value == f.default or value == ():
                 continue
-            if f.name == "arrival_trace":
+            if f.name in ("arrival_trace", "arrivals", "departures"):
                 out[f.name] = [list(pair) for pair in value]
             elif f.name == "flash_crowds":
                 out[f.name] = [

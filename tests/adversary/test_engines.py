@@ -18,6 +18,7 @@ from repro.core.mechanisms import CreditLimitedBarter, StrictBarter
 from repro.core.serde import log_from_dict, log_to_dict
 from repro.core.verify import verify_log
 from repro.sim.registry import ENGINES, run_engine
+from repro.workloads import WorkloadSpec
 
 RIDER_PLAN = AdversaryPlan(free_riders=(2, 3))
 POLLUTER_PLAN = AdversaryPlan(
@@ -33,9 +34,11 @@ FULL_PLAN = AdversaryPlan(
     strike_threshold=2,
 )
 
+# Per registry engine, plus ``churn``: the randomized engine with a late
+# arrival, which runs the membership runtime under the adversary.
 ENGINE_KW = {
     "randomized": {},
-    "churn": {"arrivals": {5: 8}, "departures": {}},
+    "churn": {"engine": "randomized", "workload": WorkloadSpec(arrivals=((5, 8),))},
     "exchange": {},
     "bittorrent": {},
     "coding": {},
@@ -43,16 +46,20 @@ ENGINE_KW = {
 }
 
 
-def _run(engine, plan, n=12, k=6, rng=11, **kw):
-    kwargs = dict(ENGINE_KW[engine])
-    kwargs.update(kw)
+def _engine(case):
+    return ENGINE_KW[case].get("engine", case)
+
+
+def _run(case, plan, n=12, k=6, rng=11, **kw):
+    kwargs = {**ENGINE_KW[case], **kw}
+    kwargs.pop("engine", None)
     return run_engine(
-        engine, n, k, adversary=plan, rng=rng, max_ticks=2000, **kwargs
+        _engine(case), n, k, adversary=plan, rng=rng, max_ticks=2000, **kwargs
     )
 
 
 class TestFreeRiders:
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINE_KW))
     def test_free_riders_never_upload(self, engine):
         r = _run(engine, RIDER_PLAN)
         riders = set(r.meta["adversary_realized"]["free_riders"])
@@ -61,10 +68,9 @@ class TestFreeRiders:
         assert not uploads & riders
         assert r.meta["adversary"] == {"free_riders": [2, 3]}
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINE_KW))
     def test_null_plan_is_bit_identical_to_none(self, engine):
-        plain = run_engine(engine, 10, 5, rng=3, max_ticks=2000,
-                           **ENGINE_KW[engine])
+        plain = _run(engine, None, n=10, k=5, rng=3)
         nulled = _run(engine, AdversaryPlan(), n=10, k=5, rng=3)
         assert list(plain.log) == list(nulled.log)
         assert plain.completion_time == nulled.completion_time
@@ -82,7 +88,7 @@ class TestFreeRiders:
 class TestPollutionAndLies:
     @pytest.mark.parametrize(
         "engine",
-        [n for n in sorted(ENGINES) if ENGINES[n].adversary_support == "full"],
+        [c for c in sorted(ENGINE_KW) if ENGINES[_engine(c)].adversary_support == "full"],
     )
     def test_polluted_blocks_never_complete_anyone(self, engine):
         r = _run(engine, POLLUTER_PLAN, rng=1)

@@ -37,15 +37,26 @@ from repro.campaign.summaries import (
 from repro.campaign.telemetry import CampaignStats
 from repro.core.errors import ConfigError
 from repro.sim.registry import create_engine, run_engine
+from repro.workloads import WorkloadSpec
 
-#: Every engine the vectorized array backend supports; BatchEngineRun
-#: covers exactly these.
-ARRAY_ENGINES = ("randomized", "churn", "exchange")
+#: Every engine the vectorized array backend supports (BatchEngineRun
+#: covers exactly these), plus ``churn``: the randomized engine with
+#: arrival/departure tables.
+ARRAY_CASES = {
+    "randomized": ("randomized", {}),
+    "churn": (
+        "randomized",
+        {"workload": WorkloadSpec(arrivals=((3, 4),), departures=((2, 6),))},
+    ),
+    "exchange": ("exchange", {}),
+}
 
 
-def _scalar_fingerprint(engine_name: str, n: int, k: int, seed: int) -> tuple:
+def _scalar_fingerprint(
+    engine_name: str, n: int, k: int, seed: int, **options
+) -> tuple:
     """Reference run on the scalar path, including final holdings."""
-    engine = create_engine(engine_name, n, k, rng=seed, keep_log=False)
+    engine = create_engine(engine_name, n, k, rng=seed, keep_log=False, **options)
     result = engine.run()
     return (
         result.completion_time,
@@ -104,16 +115,17 @@ class CrashOnSeed:
 
 
 class TestBatchEngineRunBitIdentity:
-    @pytest.mark.parametrize("engine", ARRAY_ENGINES)
-    def test_batch_replicas_match_scalar_runs(self, engine):
+    @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+    def test_batch_replicas_match_scalar_runs(self, case):
+        engine, options = ARRAY_CASES[case]
         n, k, replicas = 16, 8, 3
         seeds = [derive_seed(11, "pt", i) for i in range(replicas)]
-        batch = BatchEngineRun.configure(engine, n, k)({}, seeds)
+        batch = BatchEngineRun.configure(engine, n, k, **options)({}, seeds)
         assert len(batch) == replicas
         for i, summary in enumerate(batch):
             assert summary.seed == seeds[i]
             assert _summary_fingerprint(summary) == _scalar_fingerprint(
-                engine, n, k, seeds[i]
+                engine, n, k, seeds[i], **options
             )
 
     def test_digest_matches_array_words(self):

@@ -198,7 +198,6 @@ class TestEngineSupportLevels:
 
         assert {name: s.bandwidth_support for name, s in ENGINES.items()} == {
             "randomized": "full",
-            "churn": "full",
             "exchange": "download",
             "bittorrent": "full",
             "coding": "download",

@@ -9,9 +9,9 @@ from repro.core.errors import ConfigError
 from repro.core.verify import verify_log
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.randomized.barter import randomized_barter_run
-from repro.randomized.churn import churn_run
 from repro.randomized.cooperative import randomized_cooperative_run
 from repro.randomized.exchange import randomized_exchange_run
+from repro.workloads import WorkloadSpec
 
 pytestmark = pytest.mark.faults
 
@@ -34,8 +34,11 @@ class TestZeroFaultIdentity:
         assert list(plain.log) == list(nulled.log)
 
     def test_churn(self):
-        plain = churn_run(16, 8, departures={4: 6}, rng=5)
-        nulled = churn_run(16, 8, departures={4: 6}, rng=5, faults=FaultPlan())
+        tables = WorkloadSpec(departures=((4, 6),))
+        plain = randomized_cooperative_run(16, 8, rng=5, workload=tables)
+        nulled = randomized_cooperative_run(
+            16, 8, rng=5, workload=tables, faults=FaultPlan()
+        )
         assert plain.completion_time == nulled.completion_time
         assert list(plain.log) == list(nulled.log)
 

@@ -16,6 +16,11 @@ The ``*-crash`` and ``async-*`` fixtures were pinned later, when the
 bittorrent, coding and async engines graduated to full crash/rejoin
 support (those fixtures also pin the crash/rejoin event streams).
 
+The ``churn*`` fixtures were captured from the former churn engine
+(randomized sampling with per-client arrival and departure tables); their
+factories replay the same tables as a
+:class:`~repro.workloads.WorkloadSpec` on the randomized engine.
+
 The ``triangular-*`` fixtures were captured from
 :func:`~repro.randomized.triangular.randomized_triangular_run` while it
 still ran its own tick loop beside the kernel: the complete graph,
@@ -47,12 +52,12 @@ from repro.faults import FaultPlan, RecoveryPolicy
 from repro.overlays.graph import CompleteGraph
 from repro.overlays.random_regular import random_regular_graph
 from repro.randomized.bittorrent import BitTorrentEngine
-from repro.randomized.churn import ChurnEngine
 from repro.randomized.engine import RandomizedEngine
 from repro.randomized.exchange import ExchangeEngine
 from repro.randomized.policies import RandomPolicy, RarestFirstPolicy
 from repro.randomized.triangular import TriangularTickPolicy
 from repro.sim.kernel import TickKernel
+from repro.workloads import WorkloadSpec
 
 __all__ = ["ARRAY_CAPABLE_SPECS", "GOLDEN_ENGINE_FACTORIES", "GOLDEN_SPECS"]
 
@@ -118,16 +123,14 @@ def _randomized_server_outage(**kw):
 
 
 def _churn(**kw):
-    return ChurnEngine(
-        16, 8, arrivals={3: 4, 5: 9}, departures={2: 6}, rng=5, **kw
-    )
+    tables = WorkloadSpec(arrivals=((3, 4), (5, 9)), departures=((2, 6),))
+    return RandomizedEngine(16, 8, workload=tables, rng=5, **kw)
 
 
 def _churn_faults(**kw):
     plan = FaultPlan(loss_rate=0.15)
-    return ChurnEngine(
-        14, 7, arrivals={4: 6}, departures={3: 5}, rng=21, faults=plan, **kw
-    )
+    tables = WorkloadSpec(arrivals=((4, 6),), departures=((3, 5),))
+    return RandomizedEngine(14, 7, workload=tables, rng=21, faults=plan, **kw)
 
 
 def _exchange(**kw):
@@ -186,8 +189,8 @@ def _triangular_sparse_stall(**kw):
     return TickKernel(24, 12, TriangularTickPolicy(graph, RandomPolicy()), rng=50, **kw)
 
 
-# Fixtures whose engines accept ``backend="array"`` (the randomized,
-# churn and exchange families); ``test_array_golden.py`` replays exactly
+# Fixtures whose engines accept ``backend="array"`` (the randomized
+# and exchange families); ``test_array_golden.py`` replays exactly
 # these against the same pinned JSON.
 ARRAY_CAPABLE_SPECS = (
     "randomized-cooperative",

@@ -4,8 +4,8 @@ The array backend (:mod:`repro.sim.array`) keeps every decision draw in
 the policy and vectorizes only the deterministic work between draws, so
 an array-backed run must be *byte-identical* to the loop-backed run it
 replaces. This suite holds it to the strongest available standard: every
-golden fixture whose engine is array-capable (the randomized, churn and
-exchange families — sparse-overlay and fault fixtures included) is
+golden fixture whose engine is array-capable (the randomized and
+exchange families — sparse-overlay, fault and churn fixtures included) is
 replayed with ``backend="array"`` against the same pinned JSON the loop
 backend must match.
 """
@@ -49,6 +49,6 @@ def test_array_capable_specs_cover_all_array_engines() -> None:
     from repro.sim import ENGINES
 
     capable = {s.name for s in ENGINES.values() if s.array_backend}
-    assert capable == {"randomized", "churn", "exchange"}
+    assert capable == {"randomized", "exchange"}
     assert len(ARRAY_CAPABLE_SPECS) == 11
     assert set(ARRAY_CAPABLE_SPECS) <= set(GOLDEN_SPECS)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.randomized.churn import churn_run
-from repro.sim.registry import run_engine
+from repro.sim.registry import create_engine, run_engine
 from repro.workloads import AvailabilityProfile, FlashCrowd, WorkloadSpec
 
-ENGINES = ("randomized", "churn", "exchange", "bittorrent", "coding", "async")
+ENGINES = ("randomized", "exchange", "bittorrent", "coding", "async")
 
 ARRIVALS = WorkloadSpec(
     initial_fraction=0.5, arrival_trace=((3, 2), (6, 1))
@@ -137,22 +138,42 @@ class TestAvailability:
         assert sizes[4] == sizes[3] + 5
 
 
-class TestWorkloadVsChurnEngine:
+class TestWorkloadVsChurnTables:
     def test_workload_and_churn_tables_agree_on_joins(self):
-        # The same arrival timeline expressed as churn tables and as a
-        # workload trace must produce the same join ticks (the engines
-        # draw differently, so completions may differ — membership
-        # telemetry is what must line up).
+        # The same arrival expressed as an explicit table and as a
+        # workload trace must produce the same join tick (the swarms
+        # differ, so completions may differ — membership telemetry is
+        # what must line up).
         spec = WorkloadSpec(initial_fraction=0.5, arrival_trace=((4, 1),))
         wl = _run("randomized", spec, n=6, k=3)
-        ch = churn_run(6, 3, arrivals={3: 4}, rng=5, max_ticks=400)
+        ch = _run("randomized", WorkloadSpec(arrivals=((3, 4),)), n=6, k=3)
         assert wl.completed and ch.completed
         joined = {int(v): int(t) for v, t in wl.meta["joined_at"].items()}
-        tables = {int(v): int(t) for v, t in ch.meta["arrivals"].items()}
-        assert joined[3] == 4 == tables[3]
+        assert joined[3] == 4 == ch.meta["joined_at"][3]
 
 
 class TestSeedDraw:
+    @staticmethod
+    def _rng_state(engine, workload):
+        kernel = create_engine(engine, 10, 4, rng=5, workload=workload).kernel
+        return kernel.rng.getstate()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_tables_alone_draw_nothing(self, engine):
+        tables = WorkloadSpec(arrivals=((2, 3),), departures=((4, 6),))
+        assert not tables.needs_rng
+        assert self._rng_state(engine, tables) == self._rng_state(engine, None)
+
+    def test_any_other_setting_draws_exactly_one_seed(self):
+        one_draw = random.Random(5)
+        one_draw.getrandbits(63)
+        for spec in (
+            WorkloadSpec(arrival_trace=((3, 1),)),
+            WorkloadSpec(arrival_trace=((3, 1),), arrivals=((2, 3),)),
+        ):
+            assert spec.needs_rng
+            assert self._rng_state("randomized", spec) == one_draw.getstate()
+
     def test_workload_seed_recorded_and_replicable(self):
         a = _run("randomized", ARRIVALS)
         b = _run("randomized", ARRIVALS)

@@ -10,7 +10,7 @@ contract.
 
 Log verification is tiered by what an engine's log *means*:
 
-* block-semantic engines (randomized, churn, exchange, bittorrent) log
+* block-semantic engines (randomized, exchange, bittorrent) log
   real block transfers, so :func:`repro.core.verify.verify_log` replays
   them against the full model;
 * ``coding`` logs the *pivot* of each coefficient vector — two deliveries
@@ -25,6 +25,7 @@ Log verification is tiered by what an engine's log *means*:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import inspect
 import random
 from functools import partial
@@ -42,22 +43,24 @@ from repro.core.verify import verify_log
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.randomized.barter import randomized_barter_run
 from repro.randomized.bittorrent import bittorrent_run
-from repro.randomized.churn import churn_run
 from repro.randomized.cooperative import randomized_cooperative_run
 from repro.randomized.exchange import randomized_exchange_run
 from repro.randomized.triangular import randomized_triangular_run
-from repro.sim import ENGINES, create_engine, engine_names, run_engine
+from repro.sim import create_engine, engine_names, run_engine
 from repro.sim.kernel import TickKernel
 from repro.telemetry import TelemetrySpec
 from repro.workloads import WorkloadSpec
 
 from .capture_golden import result_fingerprint
 
-# One small-but-nontrivial configuration per registry entry. ``churn``
-# exercises its scheduling surface; everything else runs plain.
+# One small-but-nontrivial configuration per registry entry, plus
+# ``churn``: the randomized engine with ``CHURN_TABLES`` layered onto
+# whatever workload a test passes, which exercises the membership
+# runtime. Everything else runs plain.
+CHURN_TABLES = {"arrivals": ((3, 2),), "departures": ((5, 8),)}
 CASES: dict[str, dict] = {
     "randomized": {"n": 16, "k": 6},
-    "churn": {"n": 16, "k": 6, "arrivals": {3: 2}, "departures": {5: 8}},
+    "churn": {"engine": "randomized", "n": 16, "k": 6},
     "exchange": {"n": 16, "k": 6},
     "bittorrent": {"n": 16, "k": 6},
     "coding": {"n": 12, "k": 5},
@@ -71,25 +74,23 @@ BLOCK_SEMANTIC = ("randomized", "churn", "exchange", "bittorrent")
 SEED = 2024
 
 
-def _case(name: str) -> tuple[int, int, dict]:
-    kwargs = dict(CASES[name])
-    return kwargs.pop("n"), kwargs.pop("k"), kwargs
-
-
-def _engine_runner(name: str):
-    n, k, kwargs = _case(name)
-    return partial(run_engine, name, n, k, **kwargs)
+def _run_case(name: str, **options) -> RunResult:
+    kwargs = {**CASES[name], **options}
+    engine, n, k = kwargs.pop("engine", name), kwargs.pop("n"), kwargs.pop("k")
+    if name == "churn":
+        workload = kwargs.pop("workload", None) or WorkloadSpec()
+        kwargs["workload"] = dataclasses.replace(workload, **CHURN_TABLES)
+    return run_engine(engine, n, k, **kwargs)
 
 
 #: Every entry point that builds a kernel run, bound to a small case:
-#: the registry engines and the ``*_run`` helpers (triangular barter has
+#: the registry cases and the ``*_run`` helpers (triangular barter has
 #: a helper but no registry entry).
 RUNNERS = {
-    **{name: _engine_runner(name) for name in ENGINES},
+    **{name: partial(_run_case, name) for name in CASES},
     "randomized_cooperative_run": partial(randomized_cooperative_run, 16, 6),
     "randomized_barter_run": partial(randomized_barter_run, 16, 6, 2),
     "randomized_exchange_run": partial(randomized_exchange_run, 16, 6),
-    "churn_run": partial(churn_run, 16, 6, {3: 2}, {5: 8}),
     "bittorrent_run": partial(bittorrent_run, 16, 6),
     "network_coding_run": partial(network_coding_run, 12, 5),
     "randomized_triangular_run": partial(randomized_triangular_run, 16, 6),
@@ -120,7 +121,7 @@ NULL_OPTIONS = {
 
 
 def test_every_engine_has_a_case() -> None:
-    assert sorted(CASES) == sorted(engine_names())
+    assert sorted(CASES) == sorted([*engine_names(), "churn"])
 
 
 def test_unknown_engine_rejected() -> None:
@@ -128,10 +129,9 @@ def test_unknown_engine_rejected() -> None:
         create_engine("riffle", 8, 4)
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_returns_uniform_runresult(name: str) -> None:
-    n, k, kwargs = _case(name)
-    result = run_engine(name, n, k, rng=SEED, **kwargs)
+    result = _run_case(name, rng=SEED)
     assert isinstance(result, RunResult)
     assert result.completed
     assert result.meta["abort"] is None
@@ -140,32 +140,29 @@ def test_returns_uniform_runresult(name: str) -> None:
     assert len(result.log), "a completed run must have logged transfers"
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_max_ticks_abort_is_uniform(name: str) -> None:
-    n, k, kwargs = _case(name)
-    result = run_engine(name, n, k, rng=SEED, max_ticks=2, **kwargs)
+    result = _run_case(name, rng=SEED, max_ticks=2)
     assert not result.completed
     assert result.completion_time is None
     assert result.meta["abort"] == "max-ticks"
     assert result.meta["deadlocked"] is False
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_seed_stable_twice(name: str) -> None:
-    n, k, kwargs = _case(name)
-    first = result_fingerprint(run_engine(name, n, k, rng=SEED, **kwargs))
-    second = result_fingerprint(run_engine(name, n, k, rng=SEED, **kwargs))
+    first = result_fingerprint(_run_case(name, rng=SEED))
+    second = result_fingerprint(_run_case(name, rng=SEED))
     assert first == second
 
 
 @pytest.mark.parametrize("name", BLOCK_SEMANTIC)
 def test_block_semantic_logs_verify(name: str) -> None:
-    n, k, kwargs = _case(name)
-    result = run_engine(name, n, k, rng=SEED, **kwargs)
+    result = _run_case(name, rng=SEED)
     verify_log(
         result.log,
-        n,
-        k,
+        result.n,
+        result.k,
         # Churn departures leave absent clients legitimately incomplete.
         require_completion=(name != "churn"),
     )
@@ -173,23 +170,21 @@ def test_block_semantic_logs_verify(name: str) -> None:
 
 @pytest.mark.parametrize("name", ("coding", "async"))
 def test_non_block_logs_are_well_formed(name: str) -> None:
-    n, k, kwargs = _case(name)
-    result = run_engine(name, n, k, rng=SEED, **kwargs)
+    result = _run_case(name, rng=SEED)
     last = 0
     for t in result.log:
         assert t.tick >= max(1, last)  # ordered, one-indexed ticks
         last = t.tick
         assert t.src != t.dst
-        assert 0 <= t.src < n and 0 <= t.dst < n
-        assert 0 <= t.block < k
+        assert 0 <= t.src < result.n and 0 <= t.dst < result.n
+        assert 0 <= t.block < result.k
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_progress_callback(name: str) -> None:
-    n, k, kwargs = _case(name)
     calls: list[tuple[int, int]] = []
-    result = run_engine(
-        name, n, k, rng=SEED, progress=lambda t, made: calls.append((t, made)), **kwargs
+    result = _run_case(
+        name, rng=SEED, progress=lambda t, made: calls.append((t, made))
     )
     assert calls
     ticks = [t for t, _ in calls]
@@ -198,22 +193,19 @@ def test_progress_callback(name: str) -> None:
     assert sum(made for _, made in calls) == len(result.log)
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_loss_plan_accepted_everywhere(name: str) -> None:
-    n, k, kwargs = _case(name)
-    plan = FaultPlan(loss_rate=0.2)
-    result = run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
+    result = _run_case(name, rng=SEED, faults=FaultPlan(loss_rate=0.2))
     assert isinstance(result, RunResult)
     assert result.log.failures, "a lossy run at this seed records failed attempts"
     assert "failed_transfers" in result.meta
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_crash_plan_honored_or_rejected(name: str) -> None:
     """Every engine carries the full fault model, crash/rejoin included."""
-    n, k, kwargs = _case(name)
     plan = FaultPlan(crash_rate=0.01, rejoin_delay=3, rejoin_retention=0.5)
-    result = run_engine(name, n, k, rng=SEED, faults=plan, **kwargs)
+    result = _run_case(name, rng=SEED, faults=plan)
     assert isinstance(result, RunResult)
 
 

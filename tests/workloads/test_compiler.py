@@ -23,6 +23,50 @@ class TestValidation:
         with pytest.raises(ConfigError):
             compile_workload(WorkloadSpec(), 4, seed=0, horizon=0)
 
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            (WorkloadSpec(arrivals=((9, 3),)), "unknown client"),
+            (WorkloadSpec(departures=((9, 3),)), "unknown client"),
+            (WorkloadSpec(arrivals=((2, 11),)), "max_ticks"),
+            (WorkloadSpec(arrivals=((2, 5),), departures=((2, 5),)), "before or at"),
+            # Ids above the initial cohort belong to the generated arrivals.
+            (WorkloadSpec(initial_fraction=0.5, arrivals=((6, 3),)), "arrival pool"),
+            (WorkloadSpec(initial_fraction=0.5, departures=((6, 3),)), "never joins"),
+            (
+                WorkloadSpec(
+                    initial_fraction=0.5, arrival_trace=((4, 1),), departures=((5, 4),)
+                ),
+                "before or at",
+            ),
+        ],
+    )
+    def test_rejects_tables_the_run_cannot_honor(self, spec, match):
+        with pytest.raises(ConfigError, match=match):
+            compile_workload(spec, 8, seed=0, horizon=10)
+
+
+class TestTables:
+    def test_explicit_arrivals_lead_the_schedule_in_table_order(self):
+        spec = WorkloadSpec(
+            initial_fraction=0.5,
+            arrival_trace=((2, 2),),
+            arrivals=((3, 4), (1, 2)),
+            departures=((2, 6), (5, 3)),
+        )
+        compiled = compile_workload(spec, 9, seed=1, horizon=20)
+        assert compiled.arrivals == ((3, 4), (1, 2), (5, 2), (6, 2))
+        assert compiled.departures == ((2, 6), (5, 3))
+
+    def test_availability_windows_clip_to_an_explicit_join(self):
+        spec = WorkloadSpec(
+            arrivals=((2, 10),),
+            availability=(AvailabilityProfile("nap", 1.0, 4, 0.5),),
+        )
+        compiled = compile_workload(spec, 4, seed=3, horizon=40)
+        windows = dict(compiled.downtime)[2]
+        assert windows and all(start > 10 for start, _ in windows)
+
 
 class TestChildStreams:
     """Namespaced child seeds: pinned, platform-stable values.

@@ -77,6 +77,26 @@ class TestWorkloadSpecValidation:
         with pytest.raises(ConfigError):
             WorkloadSpec(arrival_trace=((3, -1),))
 
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            {"arrivals": ((0, 3),)},  # the server
+            {"departures": ((-1, 3),)},  # not a client
+            {"arrivals": ((2, 0),)},  # ticks are 1-based
+            {"arrivals": ((2, 3), (2, 5))},  # listed twice
+            {"departures": ((4, 3), (4, 6))},
+        ],
+    )
+    def test_rejects_bad_tables(self, tables):
+        with pytest.raises(ConfigError):
+            WorkloadSpec(**tables)
+
+    def test_tables_normalised_to_int_tuples(self):
+        spec = WorkloadSpec(arrivals=[[2, 3]], departures=[(4.0, 6)])  # type: ignore[list-item]
+        assert spec.arrivals == ((2, 3),)
+        assert spec.departures == ((4, 6),)
+        assert spec.describe() == {"arrivals": [[2, 3]], "departures": [[4, 6]]}
+
     def test_rejects_raw_tuples_for_crowds(self):
         with pytest.raises(ConfigError):
             WorkloadSpec(flash_crowds=((5, 10),))  # type: ignore[arg-type]
@@ -109,6 +129,15 @@ class TestNullSpec:
             availability=(AvailabilityProfile("p", 0.5, 10, 0.8),)
         ).is_null
         assert not WorkloadSpec(depart_after_complete=True).is_null
+        assert not WorkloadSpec(arrivals=((2, 3),)).is_null
+        assert not WorkloadSpec(departures=((2, 3),)).is_null
+
+    def test_only_the_tables_skip_the_seed_draw(self):
+        tables = {"arrivals": ((2, 3),), "departures": ((4, 5),)}
+        assert not WorkloadSpec(**tables).needs_rng
+        assert WorkloadSpec(initial_fraction=0.5, **tables).needs_rng
+        assert WorkloadSpec(depart_after_complete=True, **tables).needs_rng
+        assert WorkloadSpec(arrival_trace=((3, 1),)).needs_rng
 
     def test_holdover_alone_stays_null(self):
         # seed_holdover only matters with depart_after_complete.
