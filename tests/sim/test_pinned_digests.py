@@ -53,6 +53,19 @@ _FLASH = WorkloadSpec(
     initial_fraction=0.5, flash_crowds=(FlashCrowd(3, 20, 4),)
 )
 _RIDERS = AdversaryPlan(free_rider_fraction=0.15)
+_RIDER_WINDOW = AdversaryPlan(free_rider_fraction=0.2, active_until=12)
+_OUTAGE = FaultPlan(server_outages=((3, 7), (14, 20)))
+_CRASH_OUTAGE = FaultPlan(
+    crash_rate=0.03,
+    rejoin_delay=3,
+    rejoin_retention=0.5,
+    max_crashes=6,
+    server_outages=((5, 9),),
+)
+_LOSS = FaultPlan(loss_rate=0.1)
+_TABLES = WorkloadSpec(
+    arrivals=((5, 6), (9, 14), (20, 3)), departures=((3, 10), (9, 30), (12, 18))
+)
 _STRIKES = AdversaryPlan(
     polluter_fraction=0.15, pollution_rate=0.3, strike_threshold=2
 )
@@ -101,6 +114,25 @@ SPECS = {
     "async-hypercube-drift": (
         "async", 32, 16,
         {"rng": 10, "strategy": "hypercube", "upload_rates": "drift"},
+    ),
+    "async-server-outage": ("async", 48, 24, {"rng": 29, "faults": _OUTAGE}),
+    "async-rider-window": (
+        "async", 48, 24, {"rng": 30, "adversary": _RIDER_WINDOW}
+    ),
+    "async-tables": ("async", 48, 24, {"rng": 31, "workload": _TABLES}),
+    "async-rarest-par3-crash-outage": (
+        "async", 48, 24,
+        {"rng": 32, "strategy": "AsyncRarest", "parallel_downloads": 3,
+         "faults": _CRASH_OUTAGE},
+    ),
+    "coding-d2": (
+        "coding", 48, 24, {"rng": 33, "model": BandwidthModel(download=2)}
+    ),
+    "coding-dnone": (
+        "coding", 48, 24, {"rng": 34, "model": BandwidthModel(download=None)}
+    ),
+    "coding-loss-flash": (
+        "coding", 48, 24, {"rng": 36, "faults": _LOSS, "workload": _FLASH}
     ),
     "randomized-n200-loop": ("randomized", 200, 200, {"rng": 11}),
     "randomized-n200-array": (
@@ -188,6 +220,13 @@ PINNED = {
     'async-rarest-par2-drift': '6ebbee3691fcd589076465aea50b071bc6e0d3653baa52b98b62097976f8ab8f',
     'async-random-par2-drift': 'a7738bfc1a32a429bb78b66b1e78635a4d7ccd7bfb8fb09c64ac05b99bdfb704',
     'async-hypercube-drift': '71a69b2ad91992a201d3b08747d7e94250908e0f722ddf9d4a591067e3c2d2b1',
+    'async-server-outage': '2573cdae4989c33cf836b32a84923fd2989597cd0cf9ee3862d97c03e74325a9',
+    'async-rider-window': 'ac25957b85b42d183eab69bc037692013486acb0c6240281bd5b052ab1b91ccf',
+    'async-tables': '40c73402a1553fd36b7a44c7117668868b2cf72e773e32d76646cd92554e02ea',
+    'async-rarest-par3-crash-outage': '34071c6c275751043c40fd87132ad361b14c7dfca5134c4c6bdb23ef190a197e',
+    'coding-d2': '067e3d4099a6bec7f74a9cfb2e21067becac5fbf5744ba403f30ce8c8e94f8b6',
+    'coding-dnone': 'e3dc1d613352f46efd3d0df4a49769211f18dc52965d656f095c4788f443da4a',
+    'coding-loss-flash': '4382d082e01cb74fd4f0ed5c3bf7fee5df1ba57aeb0dd74319032c04ed4a1358',
     'randomized-n200-loop': 'c155e9f761fa0262d20851e3ea2af0f10a9607ab603cec36e2bfd55228ac8bb6',
     'randomized-n200-array': 'c155e9f761fa0262d20851e3ea2af0f10a9607ab603cec36e2bfd55228ac8bb6',
     'randomized-credit2': '18ffc71e1c699f83c8f4abd07c2be8931d96ee06c16633d5b1163a2346c1b674',
