@@ -58,7 +58,16 @@ __all__ = [
 
 
 class AsyncStrategy(Protocol):
-    """Decides what a node uploads next when its uplink frees."""
+    """Decides what a node uploads next when its uplink frees.
+
+    A strategy may set the class attribute ``candidates_from_masks =
+    True`` when every receiver it could propose depends only on the
+    kernel masks, ``engine.inflight`` and free downlink slots, and it
+    draws no randomness when it returns ``None``. The policy then
+    narrows the retry round after a finish to the nodes that finish can
+    wake (see ``AsyncTickPolicy._retry_idle``). Without the attribute
+    every round tries every idle node.
+    """
 
     def next_transfer(self, engine, src: int) -> tuple[int, int] | None:
         """Return ``(dst, block)`` or ``None`` to idle.

@@ -129,6 +129,10 @@ class AsyncTickPolicy(TickPolicy):
         #: absence check).
         self.free_downlinks: set[int] = set(range(n))
         self._covered: int | None = None
+        # Derived, not checkpointed: True until the tick's first retry
+        # round has run (see :meth:`_retry_idle`).
+        self._full_round = True
+        self._narrow = getattr(self.strategy, "candidates_from_masks", False)
         self._events: list[tuple[float, int, AsyncTransfer]] = []
         self._event_seq = 0
         self._idle: set[int] = set()
@@ -179,12 +183,20 @@ class AsyncTickPolicy(TickPolicy):
         covered = self._covered
         if covered is None:
             covered = self._full
-            masks = self.kernel.state.masks
+            kernel = self.kernel
+            masks = kernel.state.masks
             inflight = self.inflight
             free = self.free_downlinks
-            absent = self.kernel.absent
-            for d in self.kernel.incomplete_pool:
-                if d in free and d not in absent:
+            absent = kernel.absent
+            pool = kernel.incomplete_pool
+            # Walk the smaller of the two sets (free downlinks are usually
+            # a fraction of the pool); the AND is order-independent.
+            if len(free) < len(pool):
+                members, among = free, kernel.pool_positions
+            else:
+                members, among = pool, free
+            for d in members:
+                if d in among and d not in absent:
                     covered &= masks[d] | inflight[d]
                     if not covered:
                         break
@@ -254,17 +266,69 @@ class AsyncTickPolicy(TickPolicy):
         assert best is not None
         return best
 
-    def _retry_idle(self) -> bool:
-        # Sorted: small-int sets happen to iterate ascending (every value
-        # sits in its home slot), but that is an implementation accident;
-        # the retry order feeds strategy RNG draws, so it must be a
-        # function of the set's *content* for checkpoint restore to
-        # continue bit-identically.
+    def _retry_idle(self, finished: AsyncTransfer | None = None) -> bool:
+        """Retry idle nodes in ascending order; whether any started.
+
+        Sorted: small-int sets happen to iterate ascending (every value
+        sits in its home slot), but that is an implementation accident;
+        the retry order feeds strategy RNG draws, so it must be a
+        function of the set's *content* for checkpoint restore to
+        continue bit-identically.
+
+        A round after the finish ``src -> dst`` (``finished``) is narrowed
+        when the strategy's candidates depend only on masks, ``inflight``
+        and free downlinks (``candidates_from_masks``). Every other idle
+        node failed its last try with no candidate, so it drew nothing;
+        since then only starts (which only shrink candidate sets) and
+        this finish happened, and the finish can have opened exactly one
+        receiver, ``dst``. Such a node is therefore tried only if its
+        uplink is free and it holds a block ``dst`` neither holds nor is
+        receiving while ``dst`` has a free downlink slot; skipping it
+        otherwise skips a try that would draw nothing. ``src``, ``dst``
+        and the server (outage windows are judged at ``now``) are always
+        tried. The tick's first round, phase-hop rounds and rounds under
+        a strategy that has not opted in try every idle node: crashes,
+        rejoins, membership events and free-rider windows land at tick
+        start, and a phase hop moves the clock.
+        """
         self._covered = None
+        full = finished is None or self._full_round or not self._narrow
+        self._full_round = False
+        idle = self._idle
+        busy = self._uplink_busy
+        if full:
+            order = sorted(idle)
+        else:
+            src, dst = finished.src, finished.dst
+            masks = self.kernel.state.masks
+            inflight = self.inflight
+            free = self.free_downlinks
+            absent = self.kernel.absent
+            if dst in free and dst not in absent:
+                lacks = ~(masks[dst] | inflight[dst])
+                order = sorted(
+                    [
+                        x
+                        for x in idle
+                        if masks[x] & lacks or x == src or x == dst or x == SERVER
+                    ]
+                )
+            else:
+                order = sorted({src, dst, SERVER} & idle)
         started = False
-        for node in sorted(self._idle):
+        for node in order:
+            if busy[node]:
+                continue  # ``_try_start`` would refuse it, drawing nothing
+            if not full and node != src and node != dst and node != SERVER and (
+                dst not in free
+                or dst in absent
+                or not masks[node] & ~(masks[dst] | inflight[dst])
+            ):
+                # ``dst`` filled up (or got every block ``node`` holds in
+                # flight) earlier in this round.
+                continue
             if self._try_start(node):
-                self._idle.discard(node)
+                idle.discard(node)
                 started = True
         return started
 
@@ -282,13 +346,14 @@ class AsyncTickPolicy(TickPolicy):
             self.failed.append(transfer)
         self._idle.add(src)
         self._idle.add(dst)
-        self._retry_idle()
+        self._retry_idle(transfer)
 
     def run_tick(self, snapshot: list[int]) -> None:
         # ``snapshot`` (start-of-tick masks) is unused: asynchrony has no
         # synchronous forwarding rule — a block is forwardable the
         # continuous instant its transfer ends, which the event order
         # already guarantees.
+        self._full_round = True
         if not self._started:
             self._started = True
             self._covered = None
@@ -403,6 +468,7 @@ class AsyncTickPolicy(TickPolicy):
             if busy < self.parallel_downloads
         }
         self._covered = None
+        self._full_round = True
         # Verbatim — already a valid heap; re-heapifying could reorder
         # equal-priority entries (none exist today, but the invariant is
         # cheap to keep exact).

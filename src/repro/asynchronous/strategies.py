@@ -119,6 +119,11 @@ class _AsyncRandomBase:
     the pool, re-sorted into pool order.
     """
 
+    #: Candidates depend only on masks, ``inflight`` and free downlinks,
+    #: so the policy may narrow retry rounds after a finish (see
+    #: ``AsyncTickPolicy._retry_idle``).
+    candidates_from_masks = True
+
     def __init__(self, overlay: Graph | None = None) -> None:
         self.overlay = overlay
 

@@ -83,10 +83,38 @@ class CodingTickPolicy(TickPolicy):
         # :func:`repro.coding.verify.verify_coding_log` can replay spans.
         self.coding_vectors: list[int] = []
         self.coding_failed_vectors: list[int] = []
+        # Canonical copies of the bases, reused while a node's basis is
+        # the same object at the same rank (see ``Gf2Basis.canonical_copy``).
+        # Derived state: not checkpointed.
+        self._copy_of: list[Gf2Basis | None] = [None] * n
+        self._copy_rank = [0] * n
+        self._copies: list[Gf2Basis | None] = [None] * n
 
     def bind(self, kernel: TickKernel) -> None:
         super().bind(kernel)
         kernel.graph = self._graph
+        self._full = (1 << kernel.k) - 1
+
+    def _snapshots(self) -> list[Gf2Basis]:
+        """Start-of-tick canonical copies of every basis."""
+        copy_of, copy_rank, copies = self._copy_of, self._copy_rank, self._copies
+        for v, basis in enumerate(self.bases):
+            rank = basis.rank
+            if copy_of[v] is not basis or copy_rank[v] != rank:
+                copy_of[v] = basis
+                copy_rank[v] = rank
+                copies[v] = basis.canonical_copy()
+        return copies
+
+    def _open(self, v: int) -> bool:
+        """Whether ``v`` can take a coded block now: present, with a
+        download slot left (or no ledger), and not yet decodable."""
+        dl_left = self.kernel.download_ledger
+        return (
+            v not in self.kernel.absent
+            and (dl_left is None or dl_left[v] > 0)
+            and self.bases[v].pivots != self._full
+        )
 
     def run_tick(self, snapshot: list[int]) -> None:
         # ``snapshot`` (block masks) is meaningless here; senders use
@@ -94,10 +122,18 @@ class CodingTickPolicy(TickPolicy):
         # re-broadcast until next tick (causality).
         kernel = self.kernel
         rng = kernel.rng
-        dl_left = kernel.download_ledger
         attempt = kernel.attempt
         bases = self.bases
-        snapshots = [b.canonical_copy() for b in bases]
+        snapshots = self._snapshots()
+        is_open = self._open
+        # On the complete graph every receiver comes from one ascending
+        # list of open nodes, built per tick and pruned as attempts fill
+        # ledgers or complete receivers (nothing else changes mid-tick).
+        receivers = (
+            [v for v in range(kernel.n) if is_open(v)]
+            if isinstance(kernel.graph, CompleteGraph)
+            else None
+        )
 
         server_ok = kernel.server_available()
         riders = (
@@ -118,7 +154,7 @@ class CodingTickPolicy(TickPolicy):
             rounds = server_rounds if src == SERVER else 1
             src_basis = snapshots[src]
             for _ in range(rounds):
-                dst = self._pick_destination_snapshot(src, src_basis, dl_left)
+                dst = self._pick_destination(src, src_basis, receivers)
                 if dst is None:
                     break
                 vector = src_basis.random_member(rng)
@@ -134,6 +170,8 @@ class CodingTickPolicy(TickPolicy):
                         vector = src_basis.random_member(rng)
                 self._vector = vector
                 delivered = attempt(src, dst, vector.bit_length() - 1)
+                if receivers is not None and not is_open(dst):
+                    receivers.remove(dst)
                 if kernel.keep_log:
                     if delivered:
                         self.coding_vectors.append(vector)
@@ -151,26 +189,26 @@ class CodingTickPolicy(TickPolicy):
             self._incomplete.discard(dst)
             self._completions[dst] = self.kernel.tick
 
-    def _pick_destination_snapshot(
-        self, src: int, src_basis: Gf2Basis, dl_left: list[int] | None
+    def _pick_destination(
+        self, src: int, src_basis: Gf2Basis, receivers: list[int] | None
     ) -> int | None:
+        """A uniform draw among the open receivers ``src_basis`` holds
+        something innovative for: ``receivers`` on the complete graph,
+        else ``src``'s open neighbours, in list order."""
         kernel = self.kernel
         bases = self.bases
-        full = (1 << kernel.k) - 1
-        if isinstance(kernel.graph, CompleteGraph):
-            scan = range(kernel.n)
-        else:
-            scan = kernel.graph.neighbors(src)
-        absent = kernel.absent
+        if receivers is None:
+            is_open = self._open
+            receivers = [v for v in kernel.graph.neighbors(src) if is_open(v)]
         innovative = src_basis.has_innovative_for
+        pivots = src_basis.pivots
+        # A sender pivot the receiver lacks settles the test without the
+        # call (``has_innovative_for``'s own first check, inlined).
         pool = [
             v
-            for v in scan
+            for v in receivers
             if v != src
-            and v not in absent
-            and (dl_left is None or dl_left[v] > 0)
-            and bases[v].pivots != full  # not yet decodable
-            and innovative(bases[v])
+            and (pivots & ~bases[v].pivots or innovative(bases[v]))
         ]
         if not pool:
             return None

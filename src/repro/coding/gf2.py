@@ -183,10 +183,19 @@ class Gf2Basis:
     def canonical_copy(self) -> "Gf2Basis":
         """An independent copy holding the same rows, re-ordered
         pivot-descending (the :meth:`basis_rows` order, which fixes how
-        :meth:`random_member` maps coefficient bits to rows)."""
-        return Gf2Basis.restore_rows(
-            self.k, sorted(self._rows.items(), reverse=True)
-        )
+        :meth:`random_member` maps coefficient bits to rows).
+
+        ``pivots`` is copied, not rebuilt row by row. A copy stays
+        equal to a fresh one for as long as the source is the same
+        object with the same :attr:`rank`: :meth:`insert` only appends
+        a row (and bumps the rank), and nothing else mutates a basis in
+        place, so callers may cache copies keyed on ``(basis, rank)``.
+        """
+        copy = Gf2Basis.__new__(Gf2Basis)
+        copy.k = self.k
+        copy._rows = dict(sorted(self._rows.items(), reverse=True))
+        copy.pivots = self.pivots
+        return copy
 
     def basis_rows(self) -> list[int]:
         """The reduced basis rows, pivot-descending."""

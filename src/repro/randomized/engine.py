@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.blocks import bit_indices
+from ..core.blocks import nth_set_bit
 from ..core.errors import ConfigError
 from ..core.log import RunResult
 from ..core.mechanisms import Cooperative, CreditLimitedBarter, Mechanism
@@ -414,7 +414,7 @@ class RandomizedTickPolicy(TickPolicy):
                                     m &= m - 1
                                 block = (m & -m).bit_length() - 1
                             else:
-                                block = int(bit_indices(iv)[r])
+                                block = nth_set_bit(iv, r)
                         elif d <= 64:
                             # Clear the d highest set bits instead
                             # of walking r low ones.
@@ -423,7 +423,7 @@ class RandomizedTickPolicy(TickPolicy):
                                 m ^= 1 << (m.bit_length() - 1)
                             block = m.bit_length() - 1
                         else:
-                            block = int(bit_indices(iv)[r])
+                            block = nth_set_bit(iv, r)
                 else:
                     block = choose(iv, kernel, src, dst)
 

@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.blocks import nth_set_bit
 from ..core.errors import ConfigError
 from ..core.log import RunResult
 from ..core.model import SERVER
@@ -58,22 +59,6 @@ def _words(masks: list[int], nbytes: int) -> np.ndarray:
     """Bitmasks as a ``(len(masks), nbytes // 8)`` little-endian word matrix."""
     raw = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
     return np.frombuffer(raw, dtype="<u8").reshape(len(masks), -1)
-
-
-def _nth_bit(x: int, r: int) -> int:
-    """Index of the ``r``-th lowest set bit of ``x`` (``r`` from 0)."""
-    shift = 0
-    word = x & 0xFFFFFFFFFFFFFFFF
-    count = word.bit_count()
-    while r >= count:
-        r -= count
-        x >>= 64
-        shift += 64
-        word = x & 0xFFFFFFFFFFFFFFFF
-        count = word.bit_count()
-    for _ in range(r):
-        word &= word - 1
-    return shift + (word & -word).bit_length() - 1
 
 
 class ExchangeTickPolicy(TickPolicy):
@@ -194,7 +179,7 @@ class ExchangeTickPolicy(TickPolicy):
                 continue
             if complete:
                 # neighbors(a) is ascending node order, which is bit order.
-                b = nodes[_nth_bit(cand, rng.randrange(cand.bit_count()))]
+                b = nodes[nth_set_bit(cand, rng.randrange(cand.bit_count()))]
             else:
                 partners = [b for b in graph.neighbors(a) if cand >> pos[b] & 1]
                 if not partners:

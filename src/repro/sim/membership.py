@@ -101,6 +101,10 @@ class MembershipRuntime:
                 self.joined_at[node] = 0
                 self._watch.add(node)
         for node, tick in compiled.departures:
+            if tick > horizon:
+                # The run ends first; a pending departure it can never
+                # reach would keep zero-attempt ticks inconclusive.
+                continue
             self._depart_at.setdefault(tick, []).append(node)
             self._pending_departures += 1
         for node, windows in compiled.downtime:

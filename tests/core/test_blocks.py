@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.blocks import (
+    RAREST_WALK_MAX,
     BlockSet,
     bit_count,
     bit_indices,
@@ -17,6 +18,7 @@ from repro.core.blocks import (
     highest_set_bit,
     lowest_set_bit,
     mask_from_indices,
+    nth_set_bit,
     random_set_bit,
     rarest_set_bit,
 )
@@ -75,6 +77,44 @@ class TestMaskHelpers:
         assert rebuilt == mask
 
 
+class TestNthSetBit:
+    @given(st.integers(min_value=1, max_value=(1 << 300) - 1))
+    def test_matches_bit_indices(self, mask):
+        indices = bit_indices(mask)
+        assert [nth_set_bit(mask, r) for r in range(len(indices))] == list(indices)
+
+    def test_rank_out_of_range(self):
+        with pytest.raises(ValueError):
+            nth_set_bit(0b1011, 3)
+        with pytest.raises(ValueError):
+            nth_set_bit(1 << 200, 1)
+        with pytest.raises(ValueError):
+            nth_set_bit(0b1011, -1)
+
+    def test_random_set_bit_draws_like_an_index_list(self):
+        # Above 8 set bits random_set_bit must pick exactly what sampling
+        # the decoded index list with one randrange(popcount) would.
+        gen = random.Random(7)
+        for _ in range(300):
+            mask = gen.getrandbits(gen.choice([64, 130, 1000])) | (0x1FF << 3)
+            a, b = random.Random(mask % 97), random.Random(mask % 97)
+            indices = bit_indices(mask)
+            assert random_set_bit(mask, a) == int(indices[b.randrange(len(indices))])
+            assert a.getstate() == b.getstate()
+
+
+def _rarest_by_gather(mask, freq, rng):
+    """The numpy-gather selection, at any popcount."""
+    if mask & (mask - 1) == 0:
+        return mask.bit_length() - 1
+    indices = bit_indices(mask)
+    candidate = freq[indices]
+    ties = indices[candidate == candidate.min()]
+    if len(ties) == 1:
+        return int(ties[0])
+    return int(ties[rng.randrange(len(ties))])
+
+
 class TestRandomSelection:
     def test_random_set_bit_single(self, rng):
         assert random_set_bit(1 << 17, rng) == 17
@@ -95,7 +135,7 @@ class TestRandomSelection:
         assert seen == {0, 1, 3}
 
     def test_random_set_bit_covers_all_large(self, rng):
-        # Popcount > 8 takes the numpy path.
+        # Popcount > 8 takes the nth_set_bit path.
         mask = sum(1 << (3 * i) for i in range(12))
         seen = {random_set_bit(mask, rng) for _ in range(2000)}
         assert seen == {3 * i for i in range(12)}
@@ -125,6 +165,19 @@ class TestRarestSelection:
         freq = np.array([1, 1, 9], dtype=np.int64)
         seen = {rarest_set_bit(0b111, freq, rng) for _ in range(200)}
         assert seen == {0, 1}
+
+    @pytest.mark.parametrize("popcount", [2, 3, 8, RAREST_WALK_MAX, RAREST_WALK_MAX + 1, 40])
+    def test_walk_and_gather_agree(self, popcount):
+        # Both sides of the crossover pick the same block with the same
+        # draws (ties ascending, one randrange, none for a unique minimum).
+        gen = random.Random(popcount)
+        for k in (64, 1000):
+            freq = np.array([gen.randrange(1, 6) for _ in range(k)], dtype=np.int64)
+            for _ in range(100):
+                mask = sum(1 << b for b in gen.sample(range(k), popcount))
+                a, b = random.Random(mask % 101), random.Random(mask % 101)
+                assert rarest_set_bit(mask, freq, a) == _rarest_by_gather(mask, freq, b)
+                assert a.getstate() == b.getstate()
 
     def test_rarest_rejects_zero(self, rng):
         with pytest.raises(ValueError):

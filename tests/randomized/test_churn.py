@@ -9,6 +9,7 @@ import pytest
 from repro.core.errors import ConfigError
 from repro.core.mechanisms import CreditLimitedBarter
 from repro.core.verify import verify_log
+from repro.overlays.graph import ExplicitGraph
 from repro.overlays.random_regular import random_regular_graph
 from repro.randomized.cooperative import randomized_cooperative_run
 from repro.randomized.engine import RandomizedEngine
@@ -83,6 +84,21 @@ class TestChurnEdgeCases:
         r = _run(8, 4, departures={2: 400}, rng=0, max_ticks=200)
         assert r.completed
         assert 2 in r.client_completions
+
+    def test_departure_past_horizon_keeps_the_deadlock_proof(self):
+        # A departure the run can never reach is not a pending event:
+        # a swarm that cannot progress still ends on "deadlock" instead
+        # of burning every tick up to max_ticks.
+        graph = ExplicitGraph(3, edges=[(0, 1)])
+        plain = RandomizedEngine(3, 2, graph, rng=0, max_ticks=300)
+        plain.run()
+        late = _engine(
+            3, 2, departures={2: 400}, overlay=graph, rng=0, max_ticks=300
+        )
+        assert not late.kernel.membership_events_pending()
+        result = late.run()
+        assert late.kernel.tick == plain.kernel.tick == 3
+        assert result.meta["abort"] == "deadlock"
 
     def test_depart_same_tick_as_arrival_refused(self):
         with pytest.raises(ConfigError, match="before or at"):

@@ -6,6 +6,15 @@ an RNG draw. These digests were captured from the exhaustive scans
 before the shortcuts existed; every run below must keep reproducing its
 log (deliveries, failures) and metadata byte for byte.
 
+A second set was captured from the full retry rounds and per-tick
+coding scans, before async retries were narrowed to the nodes a
+finished transfer can wake and before coding reused unchanged basis
+snapshots and scanned only open receivers. It covers what those rules
+lean on: a server outage (judged at ``now``), a free-rider window that
+closes mid-run, arrival and departure tables, ``AsyncRarest`` with
+three download slots, crashes and an outage, and coding with download
+capacity 2, unbounded download, and loss with a flash crowd.
+
 The randomized runs lean on the fallback scan of the destination search
 (n = k large enough that late uploaders often find nobody interested),
 so they pin the empty-pool proof that skips those scans. Their digests
