@@ -21,7 +21,7 @@ from repro.experiments.extensions import extension_churn
 from repro.experiments.heterogeneity import GRIDS as HET
 from repro.experiments.open_system import GRIDS as OS
 from repro.experiments.resilience import GRIDS as RES
-from repro.experiments.runner import _to_jsonable
+from repro.experiments.runner import EXPERIMENTS, _to_jsonable
 from repro.experiments.scale import SCALES, resolve_grid, sweep_task_counts
 
 GRIDS = {"resilience": RES, "open-system": OS, "adversary": ADV, "heterogeneity": HET}
@@ -55,7 +55,17 @@ JSON_SHA256 = {
     # Not a grid experiment: its runs are WorkloadSpec arrival and
     # departure tables on the randomized engine.
     "ext-churn": "792ca86dd1d5a32212af85b4cb42c89d84e4948f40814619aa29938fd323274a",
+    # Deterministic schedules, pinned before they ran on TickKernel.
+    "fig1": "1224f736bdf30f6ba55510786454aa587c9c82c565a484fd4a887af6d0225e55",
+    "fig2": "ca01e0edf1f2983e5370a0106553239c19c841d50cc57f5894e7efd468ad104c",
+    "table": "ad62e461b547e7424ff6062668d7a87f0b86784b0838fb58cee6a622f18b29c7",
+    "price": "6294136296983b665bba137a2102ce1b8b223f7b543eb58c81930e24c6b32e85",
+    "ablation-stride": "c9a5d6b08a8d51a8bfe4d3cef2dc947c5b67e6158800b521f60fd5465193ebec",
+    "ext-multiserver": "5861826ebe9b0b3e21a96a0c74385122bc2c07b3280abc467f96fc28798f6cb8",
 }
+SCHEDULE_EXPERIMENTS = (
+    "fig1", "fig2", "table", "price", "ablation-stride", "ext-multiserver"
+)
 
 
 def _json_digest(result) -> str:
@@ -75,6 +85,12 @@ class TestPins:
 
 def test_ext_churn_ci_json_digest():
     assert _json_digest(extension_churn(scale="ci")) == JSON_SHA256["ext-churn"]
+
+
+@pytest.mark.parametrize("name", SCHEDULE_EXPERIMENTS)
+def test_schedule_experiment_ci_json_digest(name):
+    result = EXPERIMENTS[name](scale="ci")
+    assert _json_digest(result) == JSON_SHA256[name]
 
 
 class TestTables:
