@@ -3,9 +3,10 @@
 The paper's deterministic algorithms (pipeline, multicast trees, binomial
 pipeline, hypercube, riffle pipeline) are expressed in this library as
 *schedules*: explicit tick-indexed lists of transfers, built ahead of time
-by :mod:`repro.schedules`. This module executes a schedule against a fresh
-swarm, enforcing the bandwidth model as it goes, and returns a
-:class:`~repro.core.log.RunResult` whose log can then be independently
+by :mod:`repro.schedules`. :func:`execute_schedule` runs a schedule on the
+simulation kernel against a fresh swarm, enforcing the bandwidth model
+as it goes (exactly, or under faults with deferral and retry), and
+returns a :class:`~repro.core.log.RunResult` whose log can then be independently
 re-checked by :mod:`repro.core.verify`.
 
 Separating *schedule construction* from *execution* keeps the algorithms
@@ -15,13 +16,10 @@ and verification layers own all model enforcement.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import ScheduleViolation
 from .log import RunResult, Transfer, TransferLog
 from .model import BandwidthModel
-from .state import SwarmState
 
 __all__ = ["Schedule", "execute_schedule"]
 
@@ -79,72 +77,32 @@ class Schedule:
 
 
 def execute_schedule(
-    schedule: Schedule,
-    model: BandwidthModel | None = None,
-    *,
-    strict_usefulness: bool = True,
+    schedule: Schedule, model: BandwidthModel | None = None, **options
 ) -> RunResult:
     """Run ``schedule`` against a fresh swarm and return the result.
 
-    Enforces causality (senders consult the start-of-tick snapshot), upload
-    and download capacities tick by tick. With ``strict_usefulness`` (the
-    default) a planned transfer of a block the receiver already holds is an
-    error; otherwise it is silently skipped (some asynchrony experiments
-    deliberately over-plan).
+    The schedule executes on :class:`~repro.sim.kernel.TickKernel`
+    (:mod:`repro.sim.schedule`); every other keyword is a kernel run
+    option (``faults``, ``recovery``, ``rng``, ``max_ticks``,
+    ``keep_log``, ``workload``, ``bandwidth``, ``telemetry``).
+    ``max_ticks`` defaults to four times the schedule's makespan plus 64.
+
+    Raise or defer: without a fault plan the plan must execute exactly
+    as written. Senders consult the start-of-tick snapshot, and upload
+    and download capacities are enforced tick by tick. Under a
+    :class:`~repro.faults.plan.FaultPlan` a transfer that cannot run yet
+    (its sender still lacks the block, a node is absent, or retries fill
+    the tick) is deferred to the next tick, and a failed attempt is
+    retried under the :class:`~repro.faults.recovery.RecoveryPolicy`'s
+    bounded backoff.
 
     Raises
     ------
     ScheduleViolation
-        If the schedule breaks the model. The verifier would catch the same
-        breach, but failing fast during execution gives construction bugs a
-        shorter trail.
+        If, without a fault plan, the schedule breaks the model. The
+        verifier would catch the same breach, but failing fast during
+        execution gives construction bugs a shorter trail.
     """
-    model = model or BandwidthModel.symmetric()
-    state = SwarmState(schedule.n, schedule.k)
-    log = TransferLog()
+    from ..sim.schedule import schedule_kernel
 
-    for tick in range(1, schedule.ticks + 1):
-        transfers = schedule.transfers_at(tick)
-        if not transfers:
-            continue
-        snapshot = state.begin_tick()
-        uploads: Counter[int] = Counter()
-        downloads: Counter[int] = Counter()
-        for t in transfers:
-            if not snapshot[t.src] >> t.block & 1:
-                raise ScheduleViolation(
-                    f"planned sender {t.src} lacks block {t.block} at tick start",
-                    tick=tick,
-                    rule="causality",
-                )
-            if state.masks[t.dst] >> t.block & 1:
-                if strict_usefulness:
-                    raise ScheduleViolation(
-                        f"planned receiver {t.dst} already holds block {t.block}",
-                        tick=tick,
-                        rule="usefulness",
-                    )
-                continue
-            uploads[t.src] += 1
-            if uploads[t.src] > model.upload_capacity(t.src):
-                raise ScheduleViolation(
-                    f"node {t.src} planned to upload "
-                    f"{uploads[t.src]} blocks in one tick",
-                    tick=tick,
-                    rule="upload-capacity",
-                )
-            downloads[t.dst] += 1
-            dl_cap = model.download_capacity(t.dst)
-            if dl_cap is not None and downloads[t.dst] > dl_cap:
-                raise ScheduleViolation(
-                    f"node {t.dst} planned to download "
-                    f"{downloads[t.dst]} blocks in one tick",
-                    tick=tick,
-                    rule="download-capacity",
-                )
-            state.receive(t.dst, t.block)
-            log.record(tick, t.src, t.dst, t.block)
-
-    meta = dict(schedule.meta)
-    meta.setdefault("model", model)
-    return RunResult.from_log(schedule.n, schedule.k, log, meta)
+    return schedule_kernel(schedule, model, **options).run()

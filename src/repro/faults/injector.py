@@ -95,8 +95,9 @@ class FaultInjector:
         #: Tick-synchronous engines skip :meth:`transfer_fails` entirely
         #: when this is False — they already bench the server during its
         #: outage windows, so only loss/outage can touch their attempts.
-        #: (Engines that judge in-flight transfers, and the schedule
-        #: replayer, must also judge when ``has_server_windows``.)
+        #: (Engines that judge in-flight transfers, and policies that
+        #: declare ``judges_server_windows`` — deterministic schedules —
+        #: must also judge when ``has_server_windows``.)
         self.judges_links = plan.loss_rate > 0.0 or plan.outage_rate > 0.0
         self.has_server_windows = bool(plan.server_outages)
 
@@ -111,8 +112,9 @@ class FaultInjector:
 
         Server sends during an outage window always fail. The live
         engines never get here for those — they skip the server's turn
-        outright — but the schedule replayer commits planned server
-        transfers unaware of the window, and they must burn their slot.
+        outright — but a deterministic schedule (:mod:`repro.sim.schedule`)
+        commits planned server transfers unaware of the window, and they
+        must burn their slot.
         """
         self.attempts += 1
         if src == SERVER and self.has_server_windows and self.server_down(now):

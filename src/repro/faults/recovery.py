@@ -3,11 +3,12 @@
 Fault injection without recovery just measures collapse; this module
 describes the countermeasures and lets experiments toggle them:
 
-* **bounded retry with backoff** — the deterministic-schedule replayer
-  (:mod:`repro.faults.replay`) re-attempts a failed scheduled transfer up
-  to ``max_retries`` times, waiting ``backoff_base * 2**(attempt-1)``
-  ticks between attempts. (The randomized engines need no explicit
-  retry: they re-sample an eligible destination every tick.)
+* **bounded retry with backoff** — a deterministic schedule run under
+  faults (:mod:`repro.sim.schedule`) re-attempts a failed scheduled
+  transfer up to ``max_retries`` times, waiting
+  ``backoff_base * 2**(attempt-1)`` ticks between attempts. (The
+  randomized engines need no explicit retry: they re-sample an eligible
+  destination every tick.)
 * **stall detection** — under stochastic faults a zero-transfer tick no
   longer proves deadlock (an outage may end, a crashed node may rejoin),
   so the engines' conclusive zero-transfer abort generalises to "abort

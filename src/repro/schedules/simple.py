@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..core.engine import Schedule
 from ..core.errors import ConfigError
 from ..core.model import SERVER
-from ..overlays.trees import RootedTree, binomial_tree, dary_tree
+from ..overlays.trees import RootedTree, dary_tree
 from .bounds import ceil_log2
 
 __all__ = [
@@ -111,13 +111,3 @@ def binomial_tree_schedule(n: int, k: int) -> Schedule:
         if frontier < n:  # pragma: no cover - rounds always suffice
             raise ConfigError("binomial broadcast failed to cover all nodes")
     return schedule
-
-
-def binomial_tree_parent(v: int) -> int:
-    """Parent of node ``v`` in the canonical binomial-tree numbering."""
-    return v & (v - 1)
-
-
-def binomial_tree_overlay(h: int):
-    """Graph view of the binomial tree B_h (re-exported convenience)."""
-    return binomial_tree(h).to_graph()

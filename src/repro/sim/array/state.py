@@ -118,13 +118,6 @@ class ArrayState:
         bits = np.unpackbits(raw, axis=1, bitorder="little")
         return bits[:, : self.k].astype(bool)
 
-    def mask_of(self, node: int) -> int:
-        """Node ``node``'s live holdings as a bigint (test/debug aid)."""
-        row = self.words[node]
-        if sys.byteorder != "little":  # pragma: no cover - exotic platforms
-            row = row.astype("<u8")
-        return int.from_bytes(row.tobytes(), "little")
-
     def holdings_count(self) -> np.ndarray:
         """Per-node popcount of the live holdings, as ``(n,)`` int64."""
         return self.ownership().sum(axis=1, dtype=np.int64)

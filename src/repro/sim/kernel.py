@@ -159,7 +159,9 @@ class _Faults(Axis):
         kernel.fault_plan = plan
         kernel.faults = injector = FaultInjector(plan, random.Random(seed))
         kernel._stall_window = kernel.recovery.stall_window_for(plan)
-        if injector.judges_links:
+        if injector.judges_links or (
+            kernel.policy.judges_server_windows and injector.has_server_windows
+        ):
             kernel._judge = injector.transfer_fails
 
     def describe(self, kernel, meta, completions):

@@ -17,7 +17,10 @@ Concrete policies live next to the engines they power:
 * continuous-time event windows — :mod:`repro.asynchronous.policy`;
 * randomized triangular (cyclic) barter with a credit line —
   :mod:`repro.randomized.triangular` (a ``*_run`` helper, no registry
-  entry).
+  entry);
+* deterministic schedules — :mod:`repro.sim.schedule`, run through
+  :func:`~repro.core.engine.execute_schedule` (no registry entry: a
+  schedule, not ``(n, k)``, defines the run).
 
 Each engine's construction facade takes only that policy's decision
 parameters (overlay, block policy, mechanism, ...) and passes every
@@ -79,6 +82,13 @@ class TickPolicy:
     #: ledger (``dl_left``). Policies that enforce capacity structurally
     #: (pairwise exchange) switch it off.
     uses_download_ledger = True
+
+    #: Whether the policy commits server sends inside a fault plan's
+    #: server outage windows, which must then fail through the fault
+    #: judge. Live policies bench the server during a window instead
+    #: (``kernel.server_available()``), so only a fixed plan
+    #: (:mod:`repro.sim.schedule`) sets this.
+    judges_server_windows = False
 
     #: Whether this policy can run on the array backend
     #: (:mod:`repro.sim.array`): deliveries are plain mask bits (no

@@ -98,12 +98,6 @@ class TestExecuteSchedule:
             execute_schedule(s)
         assert e.value.rule == "usefulness"
 
-    def test_redundant_lenient_skips(self):
-        s = schedule_from(2, 1, [(1, 0, 1, 0), (2, 0, 1, 0)])
-        r = execute_schedule(s, strict_usefulness=False)
-        assert r.completed
-        assert len(r.log) == 1  # duplicate was dropped, not logged
-
     def test_meta_flows_through(self):
         s = Schedule(2, 1, meta={"algorithm": "demo"})
         s.add(1, 0, 1, 0)

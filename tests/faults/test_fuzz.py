@@ -15,8 +15,9 @@ import random
 import pytest
 
 from repro.coding import network_coding_run, verify_coding_log
+from repro.core.engine import execute_schedule
 from repro.core.verify import verify_log
-from repro.faults import FaultPlan, replay_schedule
+from repro.faults import FaultPlan
 from repro.randomized.barter import randomized_barter_run
 from repro.randomized.bittorrent import bittorrent_run
 from repro.randomized.cooperative import randomized_cooperative_run
@@ -146,6 +147,6 @@ def test_fuzz_replay(seed):
         server_outages=rng.choice([(), ((1, 3),)]),
     )
     schedule = pipeline_schedule(10, 5)
-    r = replay_schedule(schedule, faults=plan, rng=seed)
+    r = execute_schedule(schedule, faults=plan, rng=seed)
     report = verify_log(r.log, 10, 5, require_completion=False)
     assert report.failed_transfers == r.log.failed_count

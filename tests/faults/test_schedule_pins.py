@@ -16,8 +16,10 @@ delivery stream, the failure stream, and the replay's own meta keys
 Three cases (the two ``*-exhausted`` ones and
 ``pipeline-outage-default``) end with the retry heap empty and a client
 still incomplete: every pending transfer was either delivered or
-abandoned. The replayer reports ``abort=None`` there, although ``None``
-means a clean completion.
+abandoned. The replayer reported ``abort=None`` there, although ``None``
+means a clean completion. The kernel proves the deadlock on the next,
+attempt-free tick, so those three pins record ``"deadlock", True``; it
+is the one verdict that changed when schedules moved onto the kernel.
 
 Print the current pins (only legitimate when a case itself changes)::
 
@@ -32,7 +34,8 @@ import json
 import pytest
 
 from repro.core.model import BandwidthModel
-from repro.faults import FaultPlan, RecoveryPolicy, replay_schedule
+from repro.core.engine import execute_schedule
+from repro.faults import FaultPlan, RecoveryPolicy
 from repro.schedules.binomial_pipeline import binomial_pipeline_schedule
 from repro.schedules.hypercube import hypercube_schedule
 from repro.schedules.multiserver import multi_server_schedule
@@ -99,7 +102,7 @@ def _sha(obj) -> str:
 def run_case(name: str):
     s, p, r, seed = CASES[name]
     build, model = SCHEDULES[s]
-    return replay_schedule(
+    return execute_schedule(
         build(), faults=PLANS[p], recovery=RECOVERIES[r], model=model, rng=seed
     )
 
@@ -169,7 +172,7 @@ PINNED: dict[str, tuple] = {
     'pipeline-loss-default': (25, None, False, '1dbade7c82177f6b', 'f2122b3b6b59ad1d', '26d6112abfc9e56d'),
     'pipeline-loss-r0': (None, 'max-ticks', False, 'd06c73634f3da327', 'b32a9de3f3791df4', 'c2e09501b1863300'),
     'pipeline-loss-b3': (47, None, False, 'f17152a46185c7f7', 'a1b610d2a56b85bf', '4230c1ba80d0f30a'),
-    'pipeline-outage-default': (None, None, False, 'bb8bef498f4c695c', '0381ba818ec71a7d', '328a554e5f15fef5'),
+    'pipeline-outage-default': (None, 'deadlock', True, 'bb8bef498f4c695c', '0381ba818ec71a7d', '328a554e5f15fef5'),
     'pipeline-outage-r0': (None, 'max-ticks', False, '6e9245615ca3434f', '9e58d3b60b87fe60', '700353acc40a052b'),
     'pipeline-outage-b3': (29, None, False, '9dfa42edcc8cf76c', 'd0c83e2e122c8f71', 'd1ad51c607cb39be'),
     'pipeline-window-default': (19, None, False, 'f952193b436d21fe', 'a6ed7731212614b2', '87e85ec42ef8e16e'),
@@ -178,8 +181,8 @@ PINNED: dict[str, tuple] = {
     'pipeline-window-loss-default': (24, None, False, 'df6cf77a2614330c', '014ea3d2adea18b4', 'f7cb194469c74a7d'),
     'pipeline-window-loss-r0': (None, 'max-ticks', False, 'db6403add1d59952', '13239e8b174bf62d', 'f581b94b73cef875'),
     'pipeline-window-loss-b3': (35, None, False, '858a2f57da5d80b7', 'a551b01e3cb51349', '6a1bc5b2887ceb1f'),
-    'pipeline-loss-default-exhausted': (None, None, False, '39508a2e9cbd629a', '108ad519ed4dd28c', '27f17ddd7a357951'),
-    'riffle-outage-r0-exhausted': (None, None, False, 'b2a8cbc076146384', '72da149c1012ecd7', '1e3add65f0463013'),
+    'pipeline-loss-default-exhausted': (None, 'deadlock', True, '39508a2e9cbd629a', '108ad519ed4dd28c', '27f17ddd7a357951'),
+    'riffle-outage-r0-exhausted': (None, 'deadlock', True, 'b2a8cbc076146384', '72da149c1012ecd7', '1e3add65f0463013'),
 }
 
 

@@ -35,6 +35,7 @@ import pytest
 from repro.adversary import AdversaryPlan
 from repro.coding.engine import network_coding_run
 from repro.core.bandwidth import BandwidthClasses
+from repro.core.engine import execute_schedule
 from repro.core.errors import ConfigError
 from repro.core.log import RunResult
 from repro.core.mechanisms import CreditLimitedBarter
@@ -46,6 +47,7 @@ from repro.randomized.bittorrent import bittorrent_run
 from repro.randomized.cooperative import randomized_cooperative_run
 from repro.randomized.exchange import randomized_exchange_run
 from repro.randomized.triangular import randomized_triangular_run
+from repro.schedules.hypercube import hypercube_schedule
 from repro.sim import create_engine, engine_names, run_engine
 from repro.sim.kernel import TickKernel
 from repro.telemetry import TelemetrySpec
@@ -94,6 +96,7 @@ RUNNERS = {
     "bittorrent_run": partial(bittorrent_run, 16, 6),
     "network_coding_run": partial(network_coding_run, 12, 5),
     "randomized_triangular_run": partial(randomized_triangular_run, 16, 6),
+    "execute_schedule": partial(execute_schedule, hypercube_schedule(16, 6)),
 }
 
 #: The kernel's run options: its keyword-only parameters, less the
