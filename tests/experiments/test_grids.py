@@ -62,6 +62,10 @@ JSON_SHA256 = {
     "price": "6294136296983b665bba137a2102ce1b8b223f7b543eb58c81930e24c6b32e85",
     "ablation-stride": "c9a5d6b08a8d51a8bfe4d3cef2dc947c5b67e6158800b521f60fd5465193ebec",
     "ext-multiserver": "5861826ebe9b0b3e21a96a0c74385122bc2c07b3280abc467f96fc28798f6cb8",
+    # BitTorrent runs, pinned before the rechoke ranked from receipt
+    # windows and sampled through a lazy view.
+    "ext-bittorrent": "f15d14503ffb4752fe0dcad3849a803999505e37b824195d29fcfcb04409bc51",
+    "ext-freerider": "dcc76a7d2b471c3baf03f3c521b2db06bc4ce20f38a7616d629c3a7f37746e4b",
 }
 SCHEDULE_EXPERIMENTS = (
     "fig1", "fig2", "table", "price", "ablation-stride", "ext-multiserver"
@@ -85,6 +89,12 @@ class TestPins:
 
 def test_ext_churn_ci_json_digest():
     assert _json_digest(extension_churn(scale="ci")) == JSON_SHA256["ext-churn"]
+
+
+@pytest.mark.parametrize("name", ["ext-bittorrent", "ext-freerider"])
+def test_bittorrent_experiment_ci_json_digest(name):
+    result = EXPERIMENTS[name](scale="ci")
+    assert _json_digest(result) == JSON_SHA256[name]
 
 
 @pytest.mark.parametrize("name", SCHEDULE_EXPERIMENTS)

@@ -28,6 +28,18 @@ cover both backends, crash and loss, a flash crowd with free-riders,
 polluters with strikes, bandwidth tiers, an overlay, download capacity 2
 (the seeded client may also barter) and k > 128 (three-word masks).
 
+The bittorrent runs pin the rechoke: which peers each client ranks by
+last window's receipts, the ``rng.random()`` tiebreak drawn for each,
+and the optimistic ``rng.sample`` over the rest. Their digests were
+captured from the per-node neighbour scans, before the rechoke ranked
+from the receipt windows and sampled through a lazy view. They cover
+the complete graph above and below ``random.sample``'s 21-element
+population threshold, bandwidth tiers with and without tier-weighted
+unchoking, crash, a flash crowd with free-riders, polluters with
+strikes, a server outage, arrival and departure tables, per-node slot
+overrides, zero and three optimistic slots, a rechoke every tick, an
+overlay, and the scenario-n512 benchmark's spec at n = 128.
+
 Print the current digests (only legitimate when a spec itself changes)::
 
     PYTHONPATH=src python tests/sim/test_pinned_digests.py
@@ -49,6 +61,7 @@ from repro.faults.plan import FaultPlan
 from repro.overlays.random_regular import random_regular_graph
 from repro.randomized.engine import RandomizedTickPolicy
 from repro.sim.registry import create_engine
+from repro.telemetry import TelemetrySpec
 from repro.workloads.spec import FlashCrowd, WorkloadSpec
 
 _CRASH = FaultPlan(
@@ -78,6 +91,35 @@ _TABLES = WorkloadSpec(
 _STRIKES = AdversaryPlan(
     polluter_fraction=0.15, pollution_rate=0.3, strike_threshold=2
 )
+
+
+def _scenario(n: int) -> dict[str, object]:
+    """The scenario-n512 benchmark's bittorrent options at ``n`` nodes."""
+    clients = n - 1
+    return {
+        "faults": FaultPlan(
+            loss_rate=0.02,
+            crash_rate=0.0005,
+            rejoin_delay=5,
+            rejoin_retention=0.5,
+            server_outages=((30, 34),),
+            max_crashes=20,
+        ),
+        "adversary": AdversaryPlan(
+            free_rider_fraction=0.05,
+            polluter_fraction=0.05,
+            pollution_rate=0.3,
+            strike_threshold=2,
+        ),
+        "workload": WorkloadSpec(
+            initial_fraction=0.5,
+            flash_crowds=(
+                FlashCrowd(tick=20, count=clients - round(0.5 * clients), width=10),
+            ),
+        ),
+        "bandwidth": "broadband",
+        "telemetry": TelemetrySpec(window=25),
+    }
 
 
 def _strategy(name: str, n: int):
@@ -172,6 +214,37 @@ SPECS = {
     "exchange-k130-array": (
         "exchange", 40, 130, {"rng": 28, "backend": "array"}
     ),
+    **{
+        f"bittorrent-n64-s{seed}": ("bittorrent", 64, 32, {"rng": seed})
+        for seed in (41, 42)
+    },
+    "bittorrent-n16": ("bittorrent", 16, 8, {"rng": 43}),
+    "bittorrent-tiers": (
+        "bittorrent", 48, 24, {"rng": 44, "bandwidth": "broadband"}
+    ),
+    "bittorrent-tiers-weighted": (
+        "bittorrent", 48, 24,
+        {"rng": 44, "bandwidth": "broadband", "tier_weighted_unchoke": True},
+    ),
+    "bittorrent-crash": ("bittorrent", 48, 24, {"rng": 45, "faults": _CRASH}),
+    "bittorrent-flash-riders": (
+        "bittorrent", 48, 24, {"rng": 46, "workload": _FLASH, "adversary": _RIDERS}
+    ),
+    "bittorrent-strikes": (
+        "bittorrent", 48, 24, {"rng": 47, "adversary": _STRIKES}
+    ),
+    "bittorrent-outage": ("bittorrent", 48, 24, {"rng": 48, "faults": _OUTAGE}),
+    "bittorrent-tables": ("bittorrent", 48, 24, {"rng": 49, "workload": _TABLES}),
+    "bittorrent-per-node": (
+        "bittorrent", 48, 24, {"rng": 50, "per_node_unchoke": {3: 0, 5: 6}}
+    ),
+    "bittorrent-opt0": ("bittorrent", 48, 24, {"rng": 51, "optimistic_slots": 0}),
+    "bittorrent-opt3": ("bittorrent", 48, 24, {"rng": 52, "optimistic_slots": 3}),
+    "bittorrent-period1": (
+        "bittorrent", 48, 24, {"rng": 53, "rechoke_period": 1}
+    ),
+    "bittorrent-overlay": ("bittorrent", 40, 16, {"rng": 54, "overlay": 6}),
+    "bittorrent-scenario-n128": ("bittorrent", 128, 32, {"rng": 55, **_scenario(128)}),
 }
 
 #: The randomized specs, whose fallback scans the empty-pool proof skips.
@@ -253,6 +326,22 @@ PINNED = {
     'exchange-d2': 'f18894ee3a94f469696de4a3212195962418d06ae335a026235a2b66cdd143d1',
     'exchange-k130': 'ddda550d3035e2aafa1a887a4d22256437cef9db7e22b036f3266567558f9f59',
     'exchange-k130-array': 'ddda550d3035e2aafa1a887a4d22256437cef9db7e22b036f3266567558f9f59',
+    'bittorrent-n64-s41': 'd9c6bd00fd65205bd821c3cf231ffd0398e4d67e461fc5513dc0b1477966fe43',
+    'bittorrent-n64-s42': '3239eda2b74dc4e234d1d976d99c7ed84d1a145e8c752a474def494424083d8d',
+    'bittorrent-n16': 'ba01d7702aa8a9d7cbc254e5b7ba821ddbd1f738dc9b2af24a9928cdc62ca0c0',
+    'bittorrent-tiers': 'e90bb4ab27ddb7a41afbd4d9b197ffee107e86c359fac9dcca664aa68ebe9178',
+    'bittorrent-tiers-weighted': 'ed8f8ce4ce30c54028f26687500794970618ed7fe90291e2f2a506680ea9d4df',
+    'bittorrent-crash': '7693a9e174e9811f9b619a01398b7b4f1084fa722bff1db6363ec20ffcbbdf38',
+    'bittorrent-flash-riders': '3719429638e970e55e7176e7f5a771f269368f742cc685e3f990666d82926725',
+    'bittorrent-strikes': '53ee21c27c3999f3a8a70cadcc71241100e152e3d6d84095d1fef0368f4469cf',
+    'bittorrent-outage': 'fbef729e1c28f4eb85e9f2d0deb0cf7cfeeaee7de044aea93ec057dbaedc9b93',
+    'bittorrent-tables': 'b1340efcdff2e984e8c91d839b96b3a03b6a2026223975f82755e3e8d627ccc9',
+    'bittorrent-per-node': '3466c65b61de36c69018fc9339884fc9f5982efa303b7f742764656b181d9606',
+    'bittorrent-opt0': '3567ed76e63845f97aa2e83ce573ca6dbe4ef47b2dac51a5c0e1e59e3d6a3704',
+    'bittorrent-opt3': '0c89b0ee5c02ee4b20d70a40ee775e335b973896cbef44e9a4be751707a309db',
+    'bittorrent-period1': '5e73ddee72336511d92b40a4f89f064add4342e717ca745e42685cfa4e4d49e7',
+    'bittorrent-overlay': '12af32e441ca6c1c756146829cd1602e7aac775e07e20b948032aa12cf82e28c',
+    'bittorrent-scenario-n128': '9247c54fb3586abb849ec97035a13b558c768abac0bb5f0d024c2f4b73d9867e',
 }
 
 
