@@ -34,11 +34,12 @@ and the optimistic ``rng.sample`` over the rest. Their digests were
 captured from the per-node neighbour scans, before the rechoke ranked
 from the receipt windows and sampled through a lazy view. They cover
 the complete graph above and below ``random.sample``'s 21-element
-population threshold, bandwidth tiers with and without tier-weighted
-unchoking, crash, a flash crowd with free-riders, polluters with
-strikes, a server outage, arrival and departure tables, per-node slot
-overrides, zero and three optimistic slots, a rechoke every tick, an
-overlay, and the scenario-n512 benchmark's spec at n = 128.
+population threshold, download tiers and upload tiers with and without
+tier-weighted unchoking, crash, a flash crowd with free-riders,
+polluters with strikes, a server outage, arrival and departure tables,
+per-node slot overrides, zero and three optimistic slots, a rechoke
+every tick, an overlay, and the scenario-n512 benchmark's spec at
+n = 128.
 
 Print the current digests (only legitimate when a spec itself changes)::
 
@@ -226,6 +227,18 @@ SPECS = {
         "bittorrent", 48, 24,
         {"rng": 44, "bandwidth": "broadband", "tier_weighted_unchoke": True},
     ),
+    "bittorrent-upload-tiers": (
+        "bittorrent", 48, 24,
+        {"rng": 56, "bandwidth": mix_spec("broadband", uploads=True)},
+    ),
+    "bittorrent-upload-tiers-weighted": (
+        "bittorrent", 48, 24,
+        {
+            "rng": 56,
+            "bandwidth": mix_spec("broadband", uploads=True),
+            "tier_weighted_unchoke": True,
+        },
+    ),
     "bittorrent-crash": ("bittorrent", 48, 24, {"rng": 45, "faults": _CRASH}),
     "bittorrent-flash-riders": (
         "bittorrent", 48, 24, {"rng": 46, "workload": _FLASH, "adversary": _RIDERS}
@@ -251,12 +264,15 @@ SPECS = {
 FALLBACK_HEAVY = sorted(name for name in SPECS if name.startswith("randomized"))
 
 
-def _build(name: str):
+def _build(name: str, seed: int | None = None):
+    """The engine of spec ``name``, optionally under another seed."""
     engine, n, k, options = SPECS[name]
     kw = dict(options)
+    if seed is not None:
+        kw["rng"] = seed
     if "credit" in kw:
         kw["mechanism"] = CreditLimitedBarter(kw.pop("credit"))
-    if "bandwidth" in kw:
+    if isinstance(kw.get("bandwidth"), str):
         kw["bandwidth"] = mix_spec(kw["bandwidth"])
     if "overlay" in kw:
         kw["overlay"] = random_regular_graph(n, kw["overlay"], rng=kw["rng"])
@@ -331,6 +347,8 @@ PINNED = {
     'bittorrent-n16': 'ba01d7702aa8a9d7cbc254e5b7ba821ddbd1f738dc9b2af24a9928cdc62ca0c0',
     'bittorrent-tiers': 'e90bb4ab27ddb7a41afbd4d9b197ffee107e86c359fac9dcca664aa68ebe9178',
     'bittorrent-tiers-weighted': 'ed8f8ce4ce30c54028f26687500794970618ed7fe90291e2f2a506680ea9d4df',
+    'bittorrent-upload-tiers': '2b5acc6e06508adef66cd1c2fb776eac0796a788be4f2a301146c2f6e46b0d0c',
+    'bittorrent-upload-tiers-weighted': '671f0f40f9e7350bcf4d1d6dd43f47351cb8f2e38fb275524344df228ef6622a',
     'bittorrent-crash': '7693a9e174e9811f9b619a01398b7b4f1084fa722bff1db6363ec20ffcbbdf38',
     'bittorrent-flash-riders': '3719429638e970e55e7176e7f5a771f269368f742cc685e3f990666d82926725',
     'bittorrent-strikes': '53ee21c27c3999f3a8a70cadcc71241100e152e3d6d84095d1fef0368f4469cf',
