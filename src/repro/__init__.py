@@ -36,116 +36,85 @@ Quickstart::
     verify_log(result.log, n=16, k=32)
 """
 
-from .campaign import (
-    Campaign,
-    CampaignError,
-    ParallelExecutor,
-    ResultCache,
-    SerialExecutor,
-    configured,
-)
-from .core import (
-    SERVER,
-    BandwidthModel,
-    BlockSet,
-    ConfigError,
-    Cooperative,
-    CreditLedger,
-    CreditLimitedBarter,
-    Mechanism,
-    ReproError,
-    RunResult,
-    Schedule,
-    ScheduleViolation,
-    StrictBarter,
-    SwarmState,
-    Transfer,
-    TransferLog,
-    TriangularBarter,
-    VerificationReport,
-    execute_schedule,
-    verify_log,
-)
-from .overlays import (
-    Graph,
-    binomial_tree,
-    chain,
-    complete_graph,
-    dary_tree,
-    hypercube,
-    random_regular_graph,
-)
-from .randomized import (
-    BlockPolicy,
-    RandomPolicy,
-    RarestFirstPolicy,
-    randomized_barter_run,
-    randomized_cooperative_run,
-)
-from .schedules import (
-    binomial_pipeline_schedule,
-    binomial_tree_schedule,
-    cooperative_lower_bound,
-    hypercube_schedule,
-    multicast_tree_schedule,
-    pipeline_schedule,
-    riffle_pipeline_schedule,
-    strict_barter_lower_bound,
-)
-from .sim import ENGINES, create_engine, engine_names, run_engine
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ENGINES",
-    "SERVER",
-    "BandwidthModel",
-    "BlockPolicy",
-    "BlockSet",
-    "Campaign",
-    "CampaignError",
-    "ConfigError",
-    "Cooperative",
-    "CreditLedger",
-    "CreditLimitedBarter",
-    "Graph",
-    "Mechanism",
-    "ParallelExecutor",
-    "RandomPolicy",
-    "RarestFirstPolicy",
-    "ReproError",
-    "ResultCache",
-    "RunResult",
-    "Schedule",
-    "ScheduleViolation",
-    "SerialExecutor",
-    "StrictBarter",
-    "SwarmState",
-    "Transfer",
-    "TransferLog",
-    "TriangularBarter",
-    "VerificationReport",
-    "binomial_pipeline_schedule",
-    "binomial_tree",
-    "binomial_tree_schedule",
-    "chain",
-    "complete_graph",
-    "configured",
-    "cooperative_lower_bound",
-    "create_engine",
-    "dary_tree",
-    "engine_names",
-    "execute_schedule",
-    "hypercube",
-    "hypercube_schedule",
-    "multicast_tree_schedule",
-    "pipeline_schedule",
-    "random_regular_graph",
-    "randomized_barter_run",
-    "randomized_cooperative_run",
-    "riffle_pipeline_schedule",
-    "run_engine",
-    "strict_barter_lower_bound",
-    "verify_log",
-    "__version__",
-]
+#: Subpackage -> the public names re-exported from it. Each subpackage is
+#: imported on first access to one of its names (PEP 562), so importing
+#: one submodule, say ``repro.sim.registry``, does not load them all.
+_EXPORTS = {
+    "campaign": (
+        "Campaign",
+        "CampaignError",
+        "ParallelExecutor",
+        "ResultCache",
+        "SerialExecutor",
+        "configured",
+    ),
+    "core": (
+        "SERVER",
+        "BandwidthModel",
+        "BlockSet",
+        "ConfigError",
+        "Cooperative",
+        "CreditLedger",
+        "CreditLimitedBarter",
+        "Mechanism",
+        "ReproError",
+        "RunResult",
+        "Schedule",
+        "ScheduleViolation",
+        "StrictBarter",
+        "SwarmState",
+        "Transfer",
+        "TransferLog",
+        "TriangularBarter",
+        "VerificationReport",
+        "execute_schedule",
+        "verify_log",
+    ),
+    "overlays": (
+        "Graph",
+        "binomial_tree",
+        "chain",
+        "complete_graph",
+        "dary_tree",
+        "hypercube",
+        "random_regular_graph",
+    ),
+    "randomized": (
+        "BlockPolicy",
+        "RandomPolicy",
+        "RarestFirstPolicy",
+        "randomized_barter_run",
+        "randomized_cooperative_run",
+    ),
+    "schedules": (
+        "binomial_pipeline_schedule",
+        "binomial_tree_schedule",
+        "cooperative_lower_bound",
+        "hypercube_schedule",
+        "multicast_tree_schedule",
+        "pipeline_schedule",
+        "riffle_pipeline_schedule",
+        "strict_barter_lower_bound",
+    ),
+    "sim": ("ENGINES", "create_engine", "engine_names", "run_engine"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_SOURCE), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -30,7 +30,9 @@ reciprocation slots again.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Callable
 
 from ..core.errors import ConfigError
@@ -42,6 +44,50 @@ from ..sim.policy import TickPolicy
 from .policies import BlockPolicy, RarestFirstPolicy
 
 __all__ = ["BitTorrentEngine", "BitTorrentTickPolicy", "bittorrent_run"]
+
+
+class _Without(Sequence):
+    """``base`` minus the values in ``drop``, as a lazy read-only sequence.
+
+    ``base`` is ascending without repeats; values of ``drop`` missing
+    from it are ignored. Indexing costs O(|drop|), so ``random.sample``
+    draws from the difference exactly as from the filtered list, without
+    building it.
+    """
+
+    __slots__ = ("_base", "_skips", "_len")
+
+    def __init__(self, base: list[int], drop: Iterable[int]) -> None:
+        skips = set()
+        for v in drop:
+            i = bisect_left(base, v)
+            if i < len(base) and base[i] == v:
+                skips.add(i)
+        self._base = base
+        self._skips = sorted(skips)
+        self._len = len(base) - len(skips)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> int:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("_Without index out of range")
+        # Each skipped position at or before the target shifts it right.
+        for skip in self._skips:
+            if skip > index:
+                break
+            index += 1
+        return self._base[index]
+
+    def __iter__(self) -> Iterator[int]:
+        base, start = self._base, 0
+        for skip in self._skips:
+            yield from base[start:skip]
+            start = skip + 1
+        yield from base[start:]
 
 
 class BitTorrentTickPolicy(TickPolicy):
@@ -83,53 +129,88 @@ class BitTorrentTickPolicy(TickPolicy):
     # -- choking -----------------------------------------------------------
 
     def _rechoke(self) -> None:
-        """Recompute every node's unchoke set from last window's receipts."""
+        """Recompute every node's unchoke set from last window's receipts.
+
+        Draw order, which checkpoints and pinned digests rely on: nodes
+        are visited in id order. A client ranks the neighbours that sent
+        it blocks last window, drawing one ``rng.random()`` tiebreak per
+        ranked candidate in neighbour order (``sorted`` computes its keys
+        in input order). Then one ``rng.sample`` picks the optimistic
+        unchokes from its other neighbours; the server samples all of
+        its picks that way. ``random.sample`` copies a small population
+        with ``list()`` (21 elements or fewer, for up to five picks) and
+        only indexes a larger one.
+
+        On the complete graph a node's neighbours are the ascending list
+        of present nodes minus itself, built once per rechoke. Candidates
+        come from the receipt window's keys in ascending order, and each
+        sample reads a lazy :class:`_Without` view of the present list,
+        so a rechoke costs O(n + Σ|window|), up to sorting each window's
+        keys, rather than O(n²). Other overlays keep an O(degree)
+        filtered neighbour list per node, in the overlay's own order.
+        """
         kernel = self.kernel
         rng = kernel.rng
         masks = kernel.state.masks
         graph = kernel.graph
+        absent = kernel.absent
+        windows = self._received_window
+        unchoked = self._unchoked
+        optimistic = self.optimistic_slots
+        # Differentiated service: receipts are weighted by the sender's
+        # upload capacity, so a fast-tier peer outranks a slow one with
+        # equal receipts — its future reciprocation is worth more
+        # blocks/tick. (Same rng.random() tiebreak draw per candidate,
+        # so the uniform-model ranking — all weights 1 — makes identical
+        # draws to the default path.)
+        up = kernel.model.upload_capacity if self.tier_weighted_unchoke else None
+        present = (
+            [v for v in range(kernel.n) if v not in absent]
+            if isinstance(graph, CompleteGraph)
+            else None
+        )
         for node in range(kernel.n):
             if node != SERVER and not masks[node]:
-                self._unchoked[node] = ()
+                unchoked[node] = ()
                 continue
-            neighbors = [
-                v
-                for v in graph.neighbors(node)
-                if v != node and v not in kernel.absent
-            ]
+            if present is None:
+                neighbors = [
+                    v
+                    for v in graph.neighbors(node)
+                    if v != node and v not in absent
+                ]
+            else:
+                neighbors = _Without(present, (node,))
             if not neighbors:
-                self._unchoked[node] = ()
+                unchoked[node] = ()
                 continue
             slots = self.per_node_unchoke.get(node, self.unchoke_slots)
             if node == SERVER:
-                chosen = self._sample(neighbors, slots + self.optimistic_slots)
+                unchoked[node] = tuple(self._sample(neighbors, slots + optimistic))
+                continue
+            window = windows.get(node, {})
+            if present is None:
+                senders = (v for v in neighbors if window.get(v, 0) > 0)
             else:
-                window = self._received_window[node]
-                if self.tier_weighted_unchoke:
-                    # Differentiated service: receipts are weighted by
-                    # the sender's upload capacity, so a fast-tier peer
-                    # outranks a slow one with equal receipts — its
-                    # future reciprocation is worth more blocks/tick.
-                    # (Same rng.random() tiebreak draw per candidate, so
-                    # the uniform-model ranking — all weights 1 — makes
-                    # identical draws to the default path.)
-                    up = kernel.model.upload_capacity
-                    ranked = sorted(
-                        (v for v in neighbors if window.get(v, 0) > 0),
-                        key=lambda v: (-window[v] * up(v), rng.random()),
-                    )
-                else:
-                    ranked = sorted(
-                        (v for v in neighbors if window.get(v, 0) > 0),
-                        key=lambda v: (-window[v], rng.random()),
-                    )
-                chosen = list(ranked[:slots])
+                senders = (
+                    v for v in sorted(window) if v != node and v not in absent
+                )
+            if up is None:
+                ranked = sorted(senders, key=lambda v: (-window[v], rng.random()))
+            else:
+                ranked = sorted(
+                    senders, key=lambda v: (-window[v] * up(v), rng.random())
+                )
+            chosen = ranked[:slots]
+            if present is None:
                 others = [v for v in neighbors if v not in chosen]
-                chosen.extend(self._sample(others, self.optimistic_slots))
-            self._unchoked[node] = tuple(chosen)
-        self._received_window.clear()
+            else:
+                others = _Without(present, (node, *chosen))
+            chosen.extend(self._sample(others, optimistic))
+            unchoked[node] = tuple(chosen)
+        windows.clear()
 
-    def _sample(self, pool: list[int], count: int) -> list[int]:
+    def _sample(self, pool: Sequence[int], count: int) -> list[int]:
         if count <= 0 or not pool:
             return []
         if len(pool) <= count:
